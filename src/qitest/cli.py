@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -19,12 +20,13 @@ from . import __version__
 from .coxscore import cox_score_covariate, cox_score_rankstar
 from .datasets import load_channing
 from .efficacy import are_table
-from .errors import QITestError
+from .errors import DegenerateVariance, QITestError
 from .ingest import InputSpec, ingest_csv
 from .kernels import Kernel
-from .report import ReportEnvelope, render_test_result_text, rows_to_csv, to_json
+from .report import ReportEnvelope, render_test_result_text, rows_to_csv
 from .simulate import SimScenario, run_experiment
-from .teststat import STANDARD_PAIRS, quasi_independence_test, reverse_roles, u_numerator
+from .teststat import (STANDARD_PAIRS, quasi_independence_test, reverse_roles, run_test_grid,
+                       u_numerator)
 
 
 def _default_seed() -> int:
@@ -80,37 +82,35 @@ def _cmd_test(args) -> None:
     if args.reverse:
         data = reverse_roles(data)
     result = quasi_independence_test(data, args.g, args.h, censored_mode=censored)
-    warnings = list(report.warnings)
+    messages = list(report.warnings)
     if result.assumption_3b_required:
-        warnings.append(
+        messages.append(
             "this kernel pair is valid only when entry and censoring times are "
             "quasi-independent; check with the reversed-role diagnostic "
             "(--reverse with --h sign) before relying on it"
         )
-    env = ReportEnvelope(command=_echo(), payload=result, warnings=warnings)
+    env = ReportEnvelope(command=_echo(), payload=result, warnings=messages)
     rows = [result.to_dict()]
     _emit(args, env, render_test_result_text(result), rows)
 
 
 def _cmd_channing(args) -> None:
     groups = ["men", "women"] if args.group == "both" else [args.group]
+    # the reversed-role table runs every sign-exit pair on flipped event flags
+    reversed_pairs = [(g, Kernel.SIGN) for g in Kernel]
     rows = []
-    import warnings as _w
-
-    caught = []
-    with _w.catch_warnings(record=True) as rec:
-        _w.simplefilter("always")
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
         for grp in groups:
             data = load_channing(grp)
-            for g, h in STANDARD_PAIRS:
-                r = quasi_independence_test(data, g, h, censored_mode=True)
-                rows.append({"group": grp, "table": "association", "g_kernel": g.value,
-                             "h_kernel": h.value, "statistic": r.chi_square, "p_value": r.p_value})
-            reversed_data = reverse_roles(data)
-            for g in (Kernel.SIGN, Kernel.LINEAR, Kernel.RANK):
-                r = quasi_independence_test(reversed_data, g, Kernel.SIGN, censored_mode=True)
-                rows.append({"group": grp, "table": "reversed-roles", "g_kernel": g.value,
-                             "h_kernel": "sign", "statistic": r.chi_square, "p_value": r.p_value})
+            for table, d, pairs in (("association", data, STANDARD_PAIRS),
+                                    ("reversed-roles", reverse_roles(data), reversed_pairs)):
+                for (g, h), r in run_test_grid(d, pairs, censored_mode=True).items():
+                    if isinstance(r, DegenerateVariance):
+                        raise r
+                    rows.append({"group": grp, "table": table, "g_kernel": g.value,
+                                 "h_kernel": h.value, "statistic": r.chi_square,
+                                 "p_value": r.p_value})
         caught = [str(w.message) for w in rec]
     env = ReportEnvelope(command=_echo(), payload=rows, warnings=caught)
     lines = [f"{'group':6s} {'table':14s} {'g':6s} {'h':6s} {'statistic':>10s} {'p':>9s}"]
@@ -157,21 +157,16 @@ def _cmd_cox_check(args) -> None:
     data, report = ingest_csv(_spec_from_args(args))
     covariates = {"identity": lambda x: x, "exp": np.exp, "cube": lambda x: x**3}
     a = covariates[args.covariate]
-    rows = []
-    sweep = cox_score_covariate(data, a, method="sweep")
-    direct = cox_score_covariate(data, a, method="direct")
-    sgn = np.sign(np.subtract.outer(data.exit, data.exit))
-    from .comparability import lambda_matrix
-
-    lam = lambda_matrix(data)
-    u_form = -0.5 * float(np.sum(np.subtract.outer(a(data.entry), a(data.entry)) * sgn * lam))
-    rows.append({"statistic": f"covariate({args.covariate})", "sweep": sweep,
-                 "direct": direct, "pairwise_form": u_form})
-    r_sweep = cox_score_rankstar(data, method="sweep")
-    r_direct = cox_score_rankstar(data, method="direct")
-    r_u = 0.5 * u_numerator(data, Kernel.SIGN, Kernel.SIGN, censored_mode=True)
-    rows.append({"statistic": "rank-in-risk-set", "sweep": r_sweep,
-                 "direct": r_direct, "pairwise_form": r_u})
+    rows = [
+        {"statistic": f"covariate({args.covariate})",
+         "sweep": cox_score_covariate(data, a, method="sweep"),
+         "direct": cox_score_covariate(data, a, method="direct"),
+         "pairwise_form": cox_score_covariate(data, a, method="pairwise")},
+        {"statistic": "rank-in-risk-set",
+         "sweep": cox_score_rankstar(data, method="sweep"),
+         "direct": cox_score_rankstar(data, method="direct"),
+         "pairwise_form": 0.5 * u_numerator(data, Kernel.SIGN, Kernel.SIGN, censored_mode=True)},
+    ]
     env = ReportEnvelope(command=_echo(), payload=rows, warnings=list(report.warnings))
     lines = [f"{'statistic':22s} {'sweep':>14s} {'direct':>14s} {'pairwise':>14s}"]
     for row in rows:

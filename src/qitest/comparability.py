@@ -48,13 +48,10 @@ def omega_matrix(data: Dataset) -> np.ndarray:
 def lambda_matrix(data: Dataset) -> np.ndarray:
     """Boolean n-by-n censoring-aware comparability matrix; diagonal is False."""
     out = omega_matrix(data)
-    d = data.event
-    sgn = np.sign(np.subtract.outer(data.exit, data.exit))
-    both = np.outer(d, d) == 1
-    # earlier exit is a failure: d_i = 1 and exit_j > exit_i, or symmetric
-    first = (d[:, None] * (-sgn)) == 1
-    second = (d[None, :] * sgn) == 1
-    out &= both | first | second
+    d = data.event == 1
+    earlier = data.exit[:, None] < data.exit[None, :]
+    # both are failures, or the earlier exit is a failure (i first, or j first)
+    out &= (d[:, None] & (d[None, :] | earlier)) | (d[None, :] & earlier.T)
     return out
 
 

@@ -9,10 +9,15 @@ Two covariates are supported: a fixed transform a(entry), and the subject's
 within-risk-set entry rank divided by the risk-set size (rank counted from
 above: 1 + number of at-risk subjects with strictly larger entry).
 
-Both statistics admit exact pairwise identities against the comparable-pair
-U-statistics, which the test suite verifies; the direct risk-set evaluation
-(``method="direct"``) is the definitional oracle, while ``method="sweep"``
-maintains the risk set incrementally in O(n log n).
+Both statistics have pairwise forms over comparable pairs: the covariate
+score equals -1/2 sum_ij (a_i - a_j) sign(T_i - T_j) lambda_ij, and the rank
+score equals half the sign/sign U-statistic numerator. The covariate
+identity is exact when no two exits are tied, the rank identity when no two
+entries and no two exits are tied: a tied pair can meet the risk-set
+definition while sign(0) = 0 drops it from the pairwise form, so under ties
+the forms differ. The direct risk-set evaluation (``method="direct"``) is
+the definitional oracle, while ``method="sweep"`` maintains the risk set
+incrementally in O(n log n).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .comparability import lambda_matrix
 from .data import Dataset
 
 
@@ -80,14 +86,20 @@ def _sweep_order(data: Dataset):
 def cox_score_covariate(data: Dataset, a: Callable[[np.ndarray], np.ndarray], method: str = "sweep") -> float:
     """Score statistic with covariate a(entry) and risk-set-size weight.
 
-    ``a`` maps an array of entry times to covariate values.
+    ``a`` maps an array of entry times to covariate values. ``method`` is
+    ``"sweep"``, ``"direct"`` or ``"pairwise"``, the O(n^2) comparable-pair
+    form -1/2 sum_ij (a_i - a_j) sign(T_i - T_j) lambda_ij, which equals the
+    score when no two exits are tied.
     """
     if method == "direct":
         return _score_direct(data, a)
-    if method != "sweep":
-        raise ValueError("method must be 'sweep' or 'direct'")
-    n, by_exit, by_entry = _sweep_order(data)
+    if method not in ("sweep", "pairwise"):
+        raise ValueError("method must be 'sweep', 'direct' or 'pairwise'")
     aval = np.asarray(a(data.entry), dtype=float)
+    if method == "pairwise":
+        sgn = np.sign(np.subtract.outer(data.exit, data.exit))
+        return -0.5 * float(np.sum(np.subtract.outer(aval, aval) * sgn * lambda_matrix(data)))
+    n, by_exit, by_entry = _sweep_order(data)
     entry_sorted = data.entry[by_entry]
     exit_sorted = data.exit[by_exit]
 

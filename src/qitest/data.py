@@ -22,34 +22,36 @@ class Observation(NamedTuple):
     event: int = 1
 
 
+def _check_rows(bad: np.ndarray, rule: str) -> None:
+    """Raise ValidationError naming the first rows where ``bad`` is set."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ValidationError(f"{rule} at row(s) {rows[:10].tolist()}"
+                              + ("..." if rows.size > 10 else ""))
+
+
 class Dataset:
     """Immutable column store of observations with lazily cached ranks.
 
-    Every subject must satisfy entry < exit (the truncation condition); the
-    constructor enforces this. Rank transforms of the entry and exit columns
-    are computed at most once per instance, since the rank kernel needs them
-    for every pair.
+    Every subject must have finite times with entry < exit (the truncation
+    condition) and an event flag of exactly 0 or 1; the constructor enforces
+    this. Rank transforms of the entry and exit columns are computed at most
+    once per instance, since the rank kernel needs them for every pair.
     """
 
     def __init__(self, entry, exit, event=None):
         entry = np.asarray(entry, dtype=float)
         exit = np.asarray(exit, dtype=float)
-        if event is None:
-            event = np.ones(entry.shape, dtype=np.int8)
-        else:
-            event = np.asarray(event).astype(np.int8)
+        event = np.ones(entry.shape) if event is None else np.asarray(event, dtype=float)
         if entry.ndim != 1 or entry.shape != exit.shape or entry.shape != event.shape:
             raise ValidationError("entry, exit and event must be 1-d arrays of equal length")
         if entry.size == 0:
             raise ValidationError("dataset must contain at least one observation")
-        bad = np.flatnonzero(~(entry < exit))
-        if bad.size:
-            raise ValidationError(
-                f"entry < exit violated at row(s) {bad[:10].tolist()}"
-                + ("..." if bad.size > 10 else "")
-            )
-        if not np.isin(event, (0, 1)).all():
-            raise ValidationError("event flags must be 0 or 1")
+        _check_rows(~(np.isfinite(entry) & np.isfinite(exit)), "entry and exit must be finite")
+        _check_rows(~(entry < exit), "entry < exit violated")
+        # checked before the cast, which would turn 0.5 or 257 into a valid flag
+        _check_rows(~np.isin(event, (0, 1)), "event flags must be 0 or 1")
+        event = event.astype(np.int8)
         for a in (entry, exit, event):
             a.flags.writeable = False
         self.entry = entry

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 from .data import Dataset
@@ -27,7 +28,6 @@ class InputSpec:
     group_value: str | None = None
     delimiter: str = ","
     header: bool = True
-    time_units: str = ""
 
 
 @dataclass
@@ -55,7 +55,7 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
     """Read and validate a delimited file.
 
     Raises ParseError for malformed rows and ValidationError (with the row
-    number) when a row has entry >= exit.
+    number) when a row has a non-finite time or entry >= exit.
     """
     report = IngestReport(uncensored_mode=spec.event_column is None)
     entry, exit_, event = [], [], []
@@ -86,6 +86,8 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
                     if raw not in ("0", "1"):
                         raise ParseError(f"row {row_no}: event flag must be 0 or 1, got {raw!r}")
                     d = int(raw)
+                if not (math.isfinite(e) and math.isfinite(x)):
+                    raise ValidationError(f"row {row_no}: entry and exit must be finite")
                 if not e < x:
                     raise ValidationError(f"row {row_no}: entry ({e}) must be strictly below exit ({x})")
                 entry.append(e)

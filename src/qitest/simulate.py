@@ -227,13 +227,13 @@ def _replicate_batch(args):
     scenario, censoring_rate, pairs, level, lo, hi = args
     tallies = {pair: 0 for pair in pairs}
     degenerate = 0
-    censored_sum = 0.0
+    censored = 0  # censored subjects, an integer so the total is order-free
     censored_mode = scenario.censoring_target is not None
     for r in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed,
                                                            spawn_key=(r,)))
         data = generate_dataset(scenario, rng, censoring_rate)
-        censored_sum += data.censored_fraction
+        censored += data.n - data.n_events
         try:
             results = run_test_grid(data, pairs, censored_mode=censored_mode)
         except DegenerateDataset:
@@ -244,7 +244,7 @@ def _replicate_batch(args):
                 degenerate += 1
             elif res.p_value < level:
                 tallies[pair] += 1
-    return tallies, degenerate, censored_sum
+    return tallies, degenerate, censored
 
 
 def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
@@ -276,12 +276,12 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
 
     tallies = {pair: 0 for pair in pairs}
     degenerate = 0
-    censored_sum = 0.0
+    censored = 0
     for t, d, c in outputs:
         for pair, v in t.items():
             tallies[pair] += v
         degenerate += d
-        censored_sum += c
+        censored += c
     return ExperimentReport(
         scenario=scenario,
         censored_mode=scenario.censoring_target is not None,
@@ -290,6 +290,6 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
         kernel_pairs=pairs,
         rejections=tallies,
         degenerate=degenerate,
-        mean_censored_fraction=censored_sum / replicates,
+        mean_censored_fraction=censored / (scenario.target_n * replicates),
         censoring_rate=censoring_rate,
     )

@@ -55,63 +55,70 @@ class TestResult:
         return d
 
 
-def _entry_matrix(data: Dataset, kind: Kernel) -> np.ndarray:
-    ranks = data.entry_ranks if kind is Kernel.RANK else None
-    return pair_matrix(kind, data.entry, ranks)
+def _masked_products(data: Dataset, pairs, censored_mode: bool):
+    """Comparable-pair count, and a generator of each kernel pair's product matrix.
+
+    The comparable mask and every distinct kernel matrix are built once and
+    shared by the pairs. Each matrix holds g(L_i,L_j) h(T_i,T_j) on comparable
+    pairs and zero elsewhere, the diagonal included.
+    """
+    mask = comparable_matrix(data, censored_mode)
+    off = ~mask
+
+    def products():  # lazy, so a dataset without comparable pairs builds no kernel matrix
+        ent = {g: pair_matrix(g, data.entry, data.entry_ranks if g is Kernel.RANK else None)
+               for g in {g for g, _ in pairs}}
+        ext = {h: pair_matrix(h, data.exit, data.exit_ranks if h is Kernel.RANK else None)
+               for h in {h for _, h in pairs}}
+        for g, h in pairs:
+            a = ent[g] * ext[h]
+            a[off] = 0.0
+            yield g, h, a
+
+    return int(np.count_nonzero(mask)) // 2, products()
 
 
-def _exit_matrix(data: Dataset, kind: Kernel) -> np.ndarray:
-    ranks = data.exit_ranks if kind is Kernel.RANK else None
-    return pair_matrix(kind, data.exit, ranks)
+def _row_sums(a: np.ndarray) -> tuple[float, float]:
+    """Pair sum and ordered-triple sum of a symmetric zero-diagonal matrix.
+
+    With row sums r, the sum over unordered pairs is sum(r) / 2. For each hub
+    i, the sum of a_ij a_ik over j != k (both != i) is r_i^2 minus the row sum
+    of squares, so the triple sum needs O(n^2) work and no n-by-n temporary.
+    """
+    r = a.sum(axis=1)
+    r_sq = np.einsum("ij,ij->i", a, a)
+    return float(r.sum()) / 2.0, float(np.sum(r * r - r_sq))
 
 
 def pair_products(data: Dataset, g, h, censored_mode: bool = False) -> np.ndarray:
     """Symmetric n-by-n matrix g(L_i,L_j) h(T_i,T_j) I(comparable); zero diagonal."""
-    g = Kernel.parse(g)
-    h = Kernel.parse(h)
-    mask = comparable_matrix(data, censored_mode)
-    a = _entry_matrix(data, g) * _exit_matrix(data, h)
-    a[~mask] = 0.0
-    return a
+    _, products = _masked_products(data, [(Kernel.parse(g), Kernel.parse(h))], censored_mode)
+    return next(products)[2]
 
 
 def u_numerator(data: Dataset, g, h, censored_mode: bool = False) -> float:
     """Sum over unordered comparable pairs of the kernel pair products."""
     if data.n < 2:
         raise DegenerateDataset("need at least two observations")
-    return float(pair_products(data, g, h, censored_mode).sum()) / 2.0
+    return _row_sums(pair_products(data, g, h, censored_mode))[0]
 
 
 def kappa_hat(data: Dataset, g, h, censored_mode: bool = False) -> float:
     """Comparable-pair average of the kernel pair products."""
     if data.n < 2:
         raise DegenerateDataset("need at least two observations")
-    a = pair_products(data, g, h, censored_mode)
-    count = int(np.count_nonzero(comparable_matrix(data, censored_mode))) // 2
+    count, products = _masked_products(data, [(Kernel.parse(g), Kernel.parse(h))], censored_mode)
     if count == 0:
         raise DegenerateDataset("no comparable pairs; the statistic is undefined")
-    return float(a.sum()) / 2.0 / count
-
-
-def _phi_from_products(a: np.ndarray) -> float:
-    """Ordered-triple average of a_ij a_ik via row sums (O(n^2) work).
-
-    For each hub i, the sum of a_ij a_ik over j != k (both != i) equals
-    (row sum)^2 minus the row sum of squares; averaging over the
-    n(n-1)(n-2) ordered triples gives the plug-in variance piece.
-    """
-    n = a.shape[0]
-    row = a.sum(axis=1)
-    row_sq = (a * a).sum(axis=1)
-    total = float(np.sum(row * row - row_sq))
-    return total / (n * (n - 1) * (n - 2))
+    return _row_sums(next(products)[2])[0] / count
 
 
 def phi_hat_fast(data: Dataset, g, h, censored_mode: bool = False) -> float:
-    """Plug-in variance piece via the row-sum identity (O(n^2))."""
-    if data.n < 3:
+    """Plug-in variance piece: the ordered-triple average of a_ij a_ik (O(n^2))."""
+    n = data.n
+    if n < 3:
         raise DegenerateDataset("variance estimation needs at least three observations")
-    return _phi_from_products(pair_products(data, g, h, censored_mode))
+    return _row_sums(pair_products(data, g, h, censored_mode))[1] / (n * (n - 1) * (n - 2))
 
 
 def phi_hat_bruteforce(data: Dataset, g, h, censored_mode: bool = False) -> float:
@@ -158,65 +165,45 @@ def chi_square_test(kappa: float, phi: float, pr: float, n: int) -> tuple[float,
 
 
 def quasi_independence_test(data: Dataset, g, h, censored_mode: bool = False) -> TestResult:
-    """Run one test of the family end to end."""
-    g = Kernel.parse(g)
-    h = Kernel.parse(h)
-    if data.n < 3:
-        raise DegenerateDataset("the chi-square test needs at least three observations")
-    a = pair_products(data, g, h, censored_mode)
-    count = int(np.count_nonzero(comparable_matrix(data, censored_mode))) // 2
-    if count == 0:
-        raise DegenerateDataset("no comparable pairs; the statistic is undefined")
-    kappa = float(a.sum()) / 2.0 / count
-    phi = _phi_from_products(a)
-    pr = count / (data.n * (data.n - 1) / 2.0)
-    stat, p = chi_square_test(kappa, phi, pr, data.n)
-    return TestResult(
-        kappa_hat=kappa,
-        n=data.n,
-        n_comparable=count,
-        pr_hat=pr,
-        phi_hat=phi,
-        chi_square=stat,
-        p_value=p,
-        g_kernel=g,
-        h_kernel=h,
-        censored_mode=bool(censored_mode),
-        assumption_3b_required=bool(censored_mode) and h is not Kernel.SIGN,
-    )
+    """Run one test of the family end to end: a one-cell grid.
+
+    Raises DegenerateVariance where the grid would record it in the cell.
+    """
+    (result,) = run_test_grid(data, [(g, h)], censored_mode).values()
+    if isinstance(result, DegenerateVariance):
+        raise result
+    return result
 
 
 def run_test_grid(data: Dataset, pairs=STANDARD_PAIRS, censored_mode: bool = False) -> dict:
     """Run several kernel pairs on one dataset, sharing the pairwise setup.
 
-    Returns {(g, h): TestResult}. Raises the same errors as the single-pair
-    entry point; a DegenerateVariance in one cell does not abort the others,
-    the offending cell maps to the exception instance instead.
+    Returns {(g, h): TestResult}. Raises DegenerateDataset when the dataset
+    has fewer than three observations or no comparable pair; a
+    DegenerateVariance in one cell does not abort the others, the offending
+    cell maps to the exception instance instead.
     """
-    if data.n < 3:
+    pairs = [(Kernel.parse(g), Kernel.parse(h)) for g, h in pairs]
+    n = data.n
+    if n < 3:
         raise DegenerateDataset("the chi-square test needs at least three observations")
-    mask = comparable_matrix(data, censored_mode)
-    count = int(np.count_nonzero(mask)) // 2
+    count, products = _masked_products(data, pairs, censored_mode)
     if count == 0:
         raise DegenerateDataset("no comparable pairs; the statistic is undefined")
-    pr = count / (data.n * (data.n - 1) / 2.0)
-    pairs = [(Kernel.parse(g), Kernel.parse(h)) for g, h in pairs]
-    ent = {k: _entry_matrix(data, k) for k in {g for g, _ in pairs}}
-    ext = {k: _exit_matrix(data, k) for k in {h for _, h in pairs}}
+    pr = count / (n * (n - 1) / 2.0)
     out = {}
-    for g, h in pairs:
-        a = ent[g] * ext[h]
-        a[~mask] = 0.0
-        kappa = float(a.sum()) / 2.0 / count
-        phi = _phi_from_products(a)
+    for g, h, a in products:
+        pair_sum, triple_sum = _row_sums(a)
+        kappa = pair_sum / count
+        phi = triple_sum / (n * (n - 1) * (n - 2))
         try:
-            stat, p = chi_square_test(kappa, phi, pr, data.n)
+            stat, p = chi_square_test(kappa, phi, pr, n)
         except DegenerateVariance as exc:
             out[(g, h)] = exc
             continue
         out[(g, h)] = TestResult(
             kappa_hat=kappa,
-            n=data.n,
+            n=n,
             n_comparable=count,
             pr_hat=pr,
             phi_hat=phi,

@@ -36,6 +36,8 @@ class TestCovariateScore:
             score = cox_score_covariate(data, a)
             expected = pairwise_covariate_form(data, a)
             assert score == pytest.approx(expected, rel=1e-12, abs=1e-10)
+            pairwise = cox_score_covariate(data, a, method="pairwise")
+            assert pairwise == pytest.approx(expected, rel=1e-12, abs=1e-10)
 
     def test_sweep_equals_direct(self, make_dataset):
         for round_to in (None, 1):  # rounded data has ties

@@ -34,6 +34,11 @@ class TestIngest:
         with pytest.raises(ValidationError, match="row 3"):
             ingest_csv(InputSpec(path=path))
 
+    def test_infinite_time_rejected_with_row(self, tmp_path):
+        path = write(tmp_path, "d.csv", "entry,exit\n0,3\n1,inf\n")
+        with pytest.raises(ValidationError, match="row 3.*finite"):
+            ingest_csv(InputSpec(path=path))
+
     def test_malformed_value(self, tmp_path):
         path = write(tmp_path, "d.csv", "entry,exit\n0,3\nx,2\n")
         with pytest.raises(ParseError, match="row 3"):

@@ -79,12 +79,14 @@ class TestCalibration:
 
 class TestExperiments:
     def test_bit_identical_reports(self):
-        sc = SimScenario(family="exp-null", target_n=80, seed=31)
-        a = run_experiment(sc, replicates=40, n_jobs=1)
-        b = run_experiment(sc, replicates=40, n_jobs=2)
-        assert a.rejections == b.rejections
-        assert a.mean_censored_fraction == b.mean_censored_fraction
-        assert a.degenerate == b.degenerate
+        # uncensored data leave the censored-fraction tally at zero; censored data test it
+        for sc in (SimScenario(family="exp-null", target_n=80, seed=31),
+                   SimScenario(family="exp-null", target_n=60, censoring_target=0.4, seed=3)):
+            a = run_experiment(sc, replicates=40, n_jobs=1)
+            b = run_experiment(sc, replicates=40, n_jobs=2)
+            assert a.rejections == b.rejections
+            assert a.mean_censored_fraction == b.mean_censored_fraction
+            assert a.degenerate == b.degenerate
 
     def test_level_one_rejects_everything(self):
         sc = SimScenario(family="exp-null", target_n=60, seed=17)

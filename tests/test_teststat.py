@@ -8,7 +8,7 @@ from qitest.errors import DegenerateDataset, DegenerateVariance
 from qitest.kernels import Kernel
 from qitest.teststat import (
     STANDARD_PAIRS,
-    _phi_from_products,
+    _row_sums,
     chi2_sf1,
     chi_square_test,
     kappa_hat,
@@ -56,9 +56,10 @@ class TestKappaHat:
 
 class TestPhiHat:
     def test_hand_instance(self):
-        # symmetric pair products 1, 2, 3 on three subjects
+        # symmetric pair products 1, 2, 3 on three subjects: pair sum 6 and
+        # ordered-triple sum 22, i.e. 22 / 6 averaged over the 3 * 2 * 1 triples
         a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        assert _phi_from_products(a) == pytest.approx(22 / 6)
+        assert _row_sums(a) == (6.0, 22.0)
 
     def test_bruteforce_hand_instance(self, monkeypatch):
         a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
