@@ -24,7 +24,7 @@ from .errors import DegenerateVariance, QITestError
 from .ingest import InputSpec, ingest_csv
 from .kernels import Kernel
 from .report import ReportEnvelope, render_test_result_text, rows_to_csv
-from .simulate import SimScenario, run_experiment
+from .simulate import ScenarioFamily, SimScenario, run_experiment
 from .teststat import (STANDARD_PAIRS, quasi_independence_test, reverse_roles, run_test_grid,
                        u_numerator)
 
@@ -187,8 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("test", help="run one test on a CSV file")
     _add_io_args(t)
-    t.add_argument("--g", default="sign", help="entry-time kernel: sign, linear or rank")
-    t.add_argument("--h", default="sign", help="exit-time kernel: sign, linear or rank")
+    kernels = [k.value for k in Kernel]
+    t.add_argument("--g", type=str.lower, choices=kernels, default="sign",
+                   help="entry-time kernel")
+    t.add_argument("--h", type=str.lower, choices=kernels, default="sign",
+                   help="exit-time kernel")
     t.add_argument("--mode", choices=("auto", "censored", "uncensored"), default="auto")
     t.add_argument("--reverse", action="store_true",
                    help="flip event flags (entry-vs-censoring diagnostic)")
@@ -196,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_test)
 
     s = sub.add_parser("simulate", help="replicated level/power experiment")
-    s.add_argument("--scenario", default="exp-null",
-                   help="exp-null, exp-linear, exp-nonlinear, normal-null or normal-alt")
+    s.add_argument("--scenario", type=str.lower, choices=[f.value for f in ScenarioFamily],
+                   default="exp-null", help="generative scenario")
     s.add_argument("--n", type=int, default=400, help="post-truncation sample size")
     s.add_argument("--reps", type=int, default=1000)
     s.add_argument("--level", type=float, default=0.05)

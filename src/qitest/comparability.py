@@ -8,7 +8,9 @@ Two subjects are comparable when their observation windows overlap:
                      event = 1).
 
 Inequalities are strict, so boundary contact and empty windows never form a
-comparable pair; with tied exits only double failures qualify.
+comparable pair; with tied exits only double failures qualify. The n-by-n
+matrices are the definitional forms; counts and row sums over comparable
+pairs come from ``rowsums`` without them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, Observation
+from .rowsums import row_sums
 
 
 def omega_indicator(a: Observation, b: Observation) -> int:
@@ -37,10 +40,12 @@ def lambda_indicator(a: Observation, b: Observation) -> int:
 
 
 def omega_matrix(data: Dataset) -> np.ndarray:
-    """Boolean n-by-n matrix of pairwise window overlap; diagonal is False."""
-    lo = np.maximum.outer(data.entry, data.entry)
-    hi = np.minimum.outer(data.exit, data.exit)
-    out = lo < hi
+    """Boolean n-by-n matrix of pairwise window overlap; diagonal is False.
+
+    Since entry < exit for every subject, the windows of i and j overlap
+    exactly when L_i < T_j and L_j < T_i.
+    """
+    out = (data.entry[:, None] < data.exit[None, :]) & (data.entry[None, :] < data.exit[:, None])
     np.fill_diagonal(out, False)
     return out
 
@@ -60,5 +65,5 @@ def comparable_matrix(data: Dataset, censored_mode: bool) -> np.ndarray:
 
 
 def count_comparable(data: Dataset, censored_mode: bool = False) -> int:
-    """Number of unordered comparable pairs (at most n(n-1)/2)."""
-    return int(comparable_matrix(data, censored_mode).sum()) // 2
+    """Number of unordered comparable pairs (at most n(n-1)/2), in O(n log n)."""
+    return int(row_sums(data, [], censored_mode)[0].sum()) // 2

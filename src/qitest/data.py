@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import rank_transform
 
 
 class Observation(NamedTuple):
@@ -31,12 +29,11 @@ def _check_rows(bad: np.ndarray, rule: str) -> None:
 
 
 class Dataset:
-    """Immutable column store of observations with lazily cached ranks.
+    """Immutable column store of observations.
 
     Every subject must have finite times with entry < exit (the truncation
     condition) and an event flag of exactly 0 or 1; the constructor enforces
-    this. Rank transforms of the entry and exit columns are computed at most
-    once per instance, since the rank kernel needs them for every pair.
+    this.
     """
 
     def __init__(self, entry, exit, event=None):
@@ -78,16 +75,6 @@ class Dataset:
     def __iter__(self):
         for i in range(self.n):
             yield self[i]
-
-    @cached_property
-    def entry_ranks(self) -> np.ndarray:
-        """Scaled midranks of the entry times."""
-        return rank_transform(self.entry)
-
-    @cached_property
-    def exit_ranks(self) -> np.ndarray:
-        """Scaled midranks of the observed exit times."""
-        return rank_transform(self.exit)
 
     @property
     def n_events(self) -> int:

@@ -2,15 +2,20 @@
 
 JSON and CSV renderings write every float with 17 significant digits
 (scientific notation), which round-trips IEEE doubles exactly and always
-carries more than 12 significant digits.
+carries more than 12 significant digits. JSON strings are escaped as the JSON
+standard requires, and a non-finite float, which JSON cannot hold, raises
+QITestError.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
+from .errors import QITestError
 
 
 def format_float(x: float) -> str:
@@ -24,7 +29,7 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(f'{inner}"{k}": {_render(v, indent + 2)}' for k, v in obj.items())
+        items = ",\n".join(f"{inner}{_render(str(k))}: {_render(v, indent + 2)}" for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
@@ -39,12 +44,12 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, enum.Enum):
         obj = obj.value
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise QITestError(f"cannot write the non-finite float {obj!r} as JSON")
         return format_float(obj)
     if isinstance(obj, (int,)):
         return str(obj)
-    s = str(obj)
-    s = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{s}"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def to_json(obj) -> str:

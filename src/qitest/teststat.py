@@ -3,11 +3,14 @@
 A test in the family is indexed by two skew-symmetric kernels: one applied to
 entry times, one to exit times. The statistic is the average of the kernel
 pair products over comparable pairs; its null variance is estimated from
-pair-product row sums in O(n^2) work, and the squared standardized statistic
-is referred to a chi-square distribution with one degree of freedom.
+pair-product row sums, and the squared standardized statistic is referred to
+a chi-square distribution with one degree of freedom.
 
-All pairwise accumulations are single-pass numpy reductions over arrays of
-fixed shape, so results are bit-reproducible for a given dataset.
+Every test reduces the per-subject row sums of ``rowsums.row_sums``, computed
+in O(n log^2 n) time and O(n) memory without any n-by-n array. The dense
+``pair_products`` and the O(n^3) ``phi_hat_bruteforce`` are the definitional
+forms, kept as testing oracles. All accumulations are numpy reductions over
+arrays of fixed shape, so results are bit-reproducible for a given dataset.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 
 from .comparability import comparable_matrix
 from .data import Dataset
-from .errors import DegenerateDataset, DegenerateVariance
+from .errors import DegenerateDataset, DegenerateVariance, DomainError
 from .kernels import Kernel, pair_matrix
+from .rowsums import row_sums
 
 #: The five kernel pairs studied throughout: (entry kernel, exit kernel).
 STANDARD_PAIRS = (
@@ -55,70 +59,56 @@ class TestResult:
         return d
 
 
-def _masked_products(data: Dataset, pairs, censored_mode: bool):
-    """Comparable-pair count, and a generator of each kernel pair's product matrix.
+def _pair_and_triple_sums(r: np.ndarray, r_sq: np.ndarray) -> tuple[float, float]:
+    """Pair sum and ordered-triple sum of a kernel pair, from its row sums.
 
-    The comparable mask and every distinct kernel matrix are built once and
-    shared by the pairs. Each matrix holds g(L_i,L_j) h(T_i,T_j) on comparable
-    pairs and zero elsewhere, the diagonal included.
+    The sum over unordered comparable pairs is sum(r) / 2. For each hub i,
+    the sum of a_ij a_ik over j != k (both != i) is r_i^2 minus the row sum
+    of squares r_sq_i.
     """
-    mask = comparable_matrix(data, censored_mode)
-    off = ~mask
-
-    def products():  # lazy, so a dataset without comparable pairs builds no kernel matrix
-        ent = {g: pair_matrix(g, data.entry, data.entry_ranks if g is Kernel.RANK else None)
-               for g in {g for g, _ in pairs}}
-        ext = {h: pair_matrix(h, data.exit, data.exit_ranks if h is Kernel.RANK else None)
-               for h in {h for _, h in pairs}}
-        for g, h in pairs:
-            a = ent[g] * ext[h]
-            a[off] = 0.0
-            yield g, h, a
-
-    return int(np.count_nonzero(mask)) // 2, products()
-
-
-def _row_sums(a: np.ndarray) -> tuple[float, float]:
-    """Pair sum and ordered-triple sum of a symmetric zero-diagonal matrix.
-
-    With row sums r, the sum over unordered pairs is sum(r) / 2. For each hub
-    i, the sum of a_ij a_ik over j != k (both != i) is r_i^2 minus the row sum
-    of squares, so the triple sum needs O(n^2) work and no n-by-n temporary.
-    """
-    r = a.sum(axis=1)
-    r_sq = np.einsum("ij,ij->i", a, a)
     return float(r.sum()) / 2.0, float(np.sum(r * r - r_sq))
 
 
+def _one_pair(data: Dataset, g, h, censored_mode: bool) -> tuple[int, float, float]:
+    """Comparable-pair count, pair sum and ordered-triple sum of one kernel pair."""
+    pair = (Kernel.parse(g), Kernel.parse(h))
+    count, sums = row_sums(data, [pair], censored_mode)
+    return int(count.sum()) // 2, *_pair_and_triple_sums(*sums[pair])
+
+
 def pair_products(data: Dataset, g, h, censored_mode: bool = False) -> np.ndarray:
-    """Symmetric n-by-n matrix g(L_i,L_j) h(T_i,T_j) I(comparable); zero diagonal."""
-    _, products = _masked_products(data, [(Kernel.parse(g), Kernel.parse(h))], censored_mode)
-    return next(products)[2]
+    """Symmetric n-by-n matrix g(L_i,L_j) h(T_i,T_j) I(comparable); zero diagonal.
+
+    The definitional form of the row sums (testing oracle); O(n^2) memory.
+    """
+    a = pair_matrix(Kernel.parse(g), data.entry) * pair_matrix(Kernel.parse(h), data.exit)
+    a[~comparable_matrix(data, censored_mode)] = 0.0
+    return a
 
 
 def u_numerator(data: Dataset, g, h, censored_mode: bool = False) -> float:
     """Sum over unordered comparable pairs of the kernel pair products."""
     if data.n < 2:
         raise DegenerateDataset("need at least two observations")
-    return _row_sums(pair_products(data, g, h, censored_mode))[0]
+    return _one_pair(data, g, h, censored_mode)[1]
 
 
 def kappa_hat(data: Dataset, g, h, censored_mode: bool = False) -> float:
     """Comparable-pair average of the kernel pair products."""
     if data.n < 2:
         raise DegenerateDataset("need at least two observations")
-    count, products = _masked_products(data, [(Kernel.parse(g), Kernel.parse(h))], censored_mode)
+    count, pair_sum, _ = _one_pair(data, g, h, censored_mode)
     if count == 0:
         raise DegenerateDataset("no comparable pairs; the statistic is undefined")
-    return _row_sums(next(products)[2])[0] / count
+    return pair_sum / count
 
 
 def phi_hat_fast(data: Dataset, g, h, censored_mode: bool = False) -> float:
-    """Plug-in variance piece: the ordered-triple average of a_ij a_ik (O(n^2))."""
+    """Plug-in variance piece: the ordered-triple average of a_ij a_ik (O(n log^2 n))."""
     n = data.n
     if n < 3:
         raise DegenerateDataset("variance estimation needs at least three observations")
-    return _row_sums(pair_products(data, g, h, censored_mode))[1] / (n * (n - 1) * (n - 2))
+    return _one_pair(data, g, h, censored_mode)[2] / (n * (n - 1) * (n - 2))
 
 
 def phi_hat_bruteforce(data: Dataset, g, h, censored_mode: bool = False) -> float:
@@ -155,7 +145,11 @@ def chi_square_test(kappa: float, phi: float, pr: float, n: int) -> tuple[float,
     """Standardized chi-square statistic and p-value.
 
     statistic = n * kappa^2 * pr^2 / (4 * phi), referred to chi-square(1).
+    Raises DomainError on a non-finite input.
     """
+    if not all(math.isfinite(x) for x in (kappa, phi, pr)):
+        raise DomainError(f"chi-square test inputs must be finite: kappa={kappa!r}, "
+                          f"phi={phi!r}, pr={pr!r}")
     if pr <= 0:
         raise DegenerateVariance("comparable-pair probability estimate is zero")
     if phi <= 0:
@@ -187,13 +181,14 @@ def run_test_grid(data: Dataset, pairs=STANDARD_PAIRS, censored_mode: bool = Fal
     n = data.n
     if n < 3:
         raise DegenerateDataset("the chi-square test needs at least three observations")
-    count, products = _masked_products(data, pairs, censored_mode)
+    counts, sums = row_sums(data, pairs, censored_mode)
+    count = int(counts.sum()) // 2
     if count == 0:
         raise DegenerateDataset("no comparable pairs; the statistic is undefined")
     pr = count / (n * (n - 1) / 2.0)
     out = {}
-    for g, h, a in products:
-        pair_sum, triple_sum = _row_sums(a)
+    for g, h in pairs:
+        pair_sum, triple_sum = _pair_and_triple_sums(*sums[(g, h)])
         kappa = pair_sum / count
         phi = triple_sum / (n * (n - 1) * (n - 2))
         try:

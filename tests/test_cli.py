@@ -73,6 +73,26 @@ class TestTestCommand:
         assert code == 4
 
 
+class TestUnknownNames:
+    """Kernel and scenario names outside the known sets are argparse usage errors."""
+
+    @pytest.mark.parametrize("argv", [["test", "{csv}", "--g", "bogus"],
+                                      ["test", "{csv}", "--h", "bogus"],
+                                      ["simulate", "--scenario", "bogus"]])
+    def test_usage_error(self, capsys, sample_csv, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(csv=sample_csv) for a in argv])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_names_are_case_insensitive(self, capsys, sample_csv):
+        code, out = run(capsys, ["test", sample_csv, "--event", "event",
+                                 "--g", "Rank", "--h", "SIGN", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)["result"]
+        assert (doc["g_kernel"], doc["h_kernel"]) == ("rank", "sign")
+
+
 class TestChanningCommand:
     def test_both_groups_row_count(self, capsys):
         code, out = run(capsys, ["channing", "--format", "json"])

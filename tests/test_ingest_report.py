@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from qitest.errors import ParseError, ValidationError
+from qitest.errors import ParseError, QITestError, ValidationError
 from qitest.ingest import InputSpec, ingest_csv
 from qitest.report import ReportEnvelope, format_float, rows_to_csv, to_json
 from qitest.teststat import quasi_independence_test
@@ -106,6 +107,16 @@ class TestSerialization:
         assert parsed["b"] is True
         assert parsed["none"] is None
         assert parsed["list"][1] == 2.5
+
+    def test_json_escapes_control_characters(self):
+        text = "tab\there, bell\x01, cr\r, nul\x00, unit\x1f, del\x7f, é"
+        doc = {text: text, "list": [text]}
+        assert json.loads(to_json(doc)) == doc
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_floats(self, x):
+        with pytest.raises(QITestError, match="non-finite"):
+            to_json({"result": {"kappa_hat": x}})
 
     def test_csv_rows(self):
         rows = [{"a": 1, "b": 0.5, "c": "x"}, {"a": 2, "b": 1 / 3, "c": "y"}]

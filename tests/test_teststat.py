@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qitest.data import Dataset
-from qitest.errors import DegenerateDataset, DegenerateVariance
+from qitest.errors import DegenerateDataset, DegenerateVariance, DomainError
 from qitest.kernels import Kernel
 from qitest.teststat import (
     STANDARD_PAIRS,
-    _row_sums,
+    _pair_and_triple_sums,
     chi2_sf1,
     chi_square_test,
     kappa_hat,
@@ -55,21 +55,28 @@ class TestKappaHat:
 
 
 class TestPhiHat:
+    # symmetric pair products 1, 2, 3 on three subjects: pair sum 6 and
+    # ordered-triple sum 22, i.e. 22 / 6 averaged over the 3 * 2 * 1 triples
+    HAND = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+
     def test_hand_instance(self):
-        # symmetric pair products 1, 2, 3 on three subjects: pair sum 6 and
-        # ordered-triple sum 22, i.e. 22 / 6 averaged over the 3 * 2 * 1 triples
-        a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        assert _row_sums(a) == (6.0, 22.0)
+        r, r_sq = self.HAND.sum(axis=1), (self.HAND**2).sum(axis=1)
+        assert _pair_and_triple_sums(r, r_sq) == (6.0, 22.0)
 
     def test_bruteforce_hand_instance(self, monkeypatch):
-        a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        # route the oracle over the same products by a tiny shim dataset
+        # route both paths over the same products by a tiny shim dataset: the
+        # oracle through the dense matrix, the fast path through its row sums
         import qitest.teststat as ts
 
+        a = self.HAND
         data = Dataset([0.0, 0.1, 0.2], [5.0, 5.1, 5.2])
+        pair = (Kernel.SIGN, Kernel.SIGN)
         monkeypatch.setattr(ts, "pair_products", lambda *args, **kw: a.copy())
+        monkeypatch.setattr(ts, "row_sums", lambda *args, **kw: (
+            (a != 0).sum(axis=1), {pair: (a.sum(axis=1), (a**2).sum(axis=1))}))
         assert ts.phi_hat_bruteforce(data, "sign", "sign") == pytest.approx(22 / 6)
         assert ts.phi_hat_fast(data, "sign", "sign") == pytest.approx(22 / 6)
+        assert ts.u_numerator(data, "sign", "sign") == 6.0
 
     def test_all_zero(self):
         apart = Dataset([0.0, 10.0, 20.0], [1.0, 11.0, 21.0])
@@ -114,6 +121,13 @@ class TestChiSquare:
         stat, p = chi_square_test(kappa=0.2, phi=0.01, pr=0.5, n=100)
         assert stat == pytest.approx(100 * 0.04 * 0.25 / 0.04)
         assert p == chi2_sf1(stat)
+
+    @pytest.mark.parametrize("kappa, phi, pr", [
+        (math.nan, 0.01, 0.5), (math.inf, 0.01, 0.5), (0.1, math.nan, 0.5),
+        (0.1, math.inf, 0.5), (0.1, 0.01, math.nan), (0.1, 0.01, math.inf)])
+    def test_non_finite_input_raises(self, kappa, phi, pr):
+        with pytest.raises(DomainError, match="finite"):
+            chi_square_test(kappa, phi, pr, 10)
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):
