@@ -28,6 +28,7 @@ import numpy as np
 
 from .comparability import lambda_matrix
 from .data import Dataset
+from .errors import DomainError
 
 
 class RiskSets:
@@ -51,10 +52,9 @@ class RiskSets:
         return 1 + int(np.sum(at & (d.entry > d.entry[i])))
 
 
-def _score_direct(data: Dataset, z_of_entry: Callable[[np.ndarray], np.ndarray]) -> float:
+def _score_direct(data: Dataset, z: np.ndarray) -> float:
     # risk[j, i] = 1 if j is at risk at T_i
     at = (data.entry[:, None] < data.exit[None, :]) & (data.exit[None, :] <= data.exit[:, None])
-    z = z_of_entry(data.entry)
     y = at.sum(axis=0).astype(float)
     zsum = z @ at
     ev = data.event == 1
@@ -89,13 +89,19 @@ def cox_score_covariate(data: Dataset, a: Callable[[np.ndarray], np.ndarray], me
     ``a`` maps an array of entry times to covariate values. ``method`` is
     ``"sweep"``, ``"direct"`` or ``"pairwise"``, the O(n^2) comparable-pair
     form -1/2 sum_ij (a_i - a_j) sign(T_i - T_j) lambda_ij, which equals the
-    score when no two exits are tied.
+    score when no two exits are tied. ``a`` must give one finite value per
+    subject; anything else raises ``DomainError``.
     """
-    if method == "direct":
-        return _score_direct(data, a)
-    if method not in ("sweep", "pairwise"):
+    if method not in ("sweep", "direct", "pairwise"):
         raise ValueError("method must be 'sweep', 'direct' or 'pairwise'")
     aval = np.asarray(a(data.entry), dtype=float)
+    if aval.shape != (data.n,):
+        raise DomainError(f"the covariate must give one value per subject: "
+                          f"expected shape ({data.n},), got {aval.shape}")
+    if not np.all(np.isfinite(aval)):
+        raise DomainError("the covariate gave a non-finite value")
+    if method == "direct":
+        return _score_direct(data, aval)
     if method == "pairwise":
         sgn = np.sign(np.subtract.outer(data.exit, data.exit))
         return -0.5 * float(np.sum(np.subtract.outer(aval, aval) * sgn * lambda_matrix(data)))

@@ -15,7 +15,10 @@ through the truncation point and a common factor exp(-B(t)), so the at-risk
 fraction is ybar(t) = exp(-B(t)) * C(min(t, l_max)) with C the cumulative
 integral of c. Every at-risk moment needed below is a cumulative integral of
 a fixed function evaluated at min(t, l_max), which keeps the whole
-computation a family of one-dimensional quadratures.
+computation a family of one-dimensional quadratures. Each table is a
+cumulative composite Simpson integral whose coefficients are computed once
+per grid, and the moment tables are the rows of one array, so every node of
+the outer quadrature reads all of them with one index search.
 
 The drift and variance of a score test with limiting covariate process z are
 
@@ -46,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import cumulative_simpson, quad
+from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationFailure
 
@@ -159,6 +162,50 @@ def _as_fun(h: "HazardLike") -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.full(np.shape(np.asarray(x, dtype=float)), v, dtype=float)
 
 
+class _Simpson:
+    """Cumulative composite Simpson integrals over one fixed grid of n >= 3 points.
+
+    This is SciPy's ``cumulative_simpson(y, x=grid, initial=0.0)``, the
+    unequal-interval rule of Cartwright (2017, J. Math. Sci. Math. Educ.
+    12(2):1-9), with the coefficients, which depend on the grid alone,
+    computed once. Interval k is integrated from the quadratic through points
+    k, k+1, k+2 when k is even, and through k+1, k, k-1 when k is odd or is
+    the last interval. The formula and its operation order are SciPy's, so
+    the result is bit-identical to it.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        x21 = np.diff(grid)
+        k = np.arange(x21.size)
+        forward = np.zeros(x21.size, dtype=np.intp)
+        forward[:-1:2] = 1
+        # interval k joins points i1 and i2; its quadratic takes the third
+        # point i3 next to i2: k+2 on forward intervals, k-1 on the others
+        self._i2 = k + forward
+        self._i1 = k + 1 - forward
+        self._i3 = 2 * self._i2 - self._i1
+        x32 = x21[np.minimum(self._i2, self._i3)]
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        self._w = x21 / 6
+        self._c1 = 3 - x21_x31
+        self._c2 = 3 + x21x21_x31x32 + x21_x31
+        self._c3 = -x21x21_x31x32
+
+    def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(y.size) if out is None else out
+        # a leading 0.0 in the running sum stands for SciPy's ``initial``
+        out[0] = 0.0
+        out[1:] = self._w * (self._c1 * y[self._i1] + self._c2 * y[self._i2] + self._c3 * y[self._i3])
+        return np.cumsum(out, out=out)
+
+
+#: the moment table's row of each test's z = l, F_L(l) or C(l); the a z and
+#: z^2 rows follow it (see _moment_tables)
+_FIRST_Z_ROW = {EfficacyTest.LINEAR_SIGN: 2, EfficacyTest.RANK_SIGN: 5, EfficacyTest.SIGN_SIGN: 8}
+
+
 class _ModelTables:
     """Cumulative-integral tables underlying every efficacy quantity."""
 
@@ -184,24 +231,24 @@ class _ModelTables:
         geo = np.geomspace(1e-12 * self.l_max, brk, self.GEOM_POINTS)[:-1]
         uni = np.linspace(brk, self.l_max, self.UNIF_POINTS)
         self.grid = np.concatenate([geo, uni])
+        self.simpson = _Simpson(self.grid)
 
         g = self.grid
-        A = cumulative_simpson(gamma0(g), x=g, initial=0.0)
-        Bl = cumulative_simpson(gamma1(g), x=g, initial=0.0)
+        A = self.simpson(gamma0(g))
+        Bl = self.simpson(gamma1(g))
         self.c = model.entry.pdf(g) * np.exp(Bl - A)
         self._A_l = A  # cumulative pre-entry hazard on the entry grid
         self._B_l = Bl  # cumulative post-entry hazard on the entry grid
 
-        self.Ic = cumulative_simpson(self.c, x=g, initial=0.0)
-        self.C_total = float(self.Ic[-1])
+        self.Ic = self.simpson(self.c)
 
         # time grid for the post-entry cumulative hazard beyond l_max
         self.t_max = self._find_t_max(gamma1)
         tg = np.linspace(0.0, self.t_max, 40001)
         self._t_grid = tg
-        self._B_t = cumulative_simpson(gamma1(tg), x=tg, initial=0.0)
+        self._B_t = _Simpson(tg)(gamma1(tg))
 
-        self._table_cache: dict[str, np.ndarray] = {}
+        self.rows: np.ndarray | None = None  # the moment table, built by _moment_tables
 
     # -- construction helpers -------------------------------------------------
 
@@ -212,8 +259,9 @@ class _ModelTables:
         bound = 8.0
         for _ in range(20):
             g = np.linspace(0.0, bound, 4001)
-            A = cumulative_simpson(gamma0(g), x=g, initial=0.0)
-            B = cumulative_simpson(gamma1(g), x=g, initial=0.0)
+            simpson = _Simpson(g)
+            A = simpson(gamma0(g))
+            B = simpson(gamma1(g))
             c = entry.pdf(g) * np.exp(B - A)
             peak = float(c.max())
             if peak > 0 and c[-1] < 1e-14 * peak:
@@ -228,7 +276,7 @@ class _ModelTables:
         bound = self.l_max + 8.0
         for _ in range(30):
             tg = np.linspace(0.0, bound, 8001)
-            B = cumulative_simpson(gamma1(tg), x=tg, initial=0.0)
+            B = _Simpson(tg)(gamma1(tg))
             b_lmax = float(np.interp(self.l_max, tg, B))
             if float(B[-1]) - b_lmax > target:
                 return bound
@@ -240,20 +288,23 @@ class _ModelTables:
     def B(self, t) -> np.ndarray:
         return np.interp(t, self._t_grid, self._B_t)
 
-    def B_entrygrid(self) -> np.ndarray:
-        return self._B_l
-
     def C(self, x) -> np.ndarray:
         return np.interp(x, self.grid, self.Ic)
 
-    def cumulative(self, key: str, values: np.ndarray) -> None:
-        self._table_cache[key] = cumulative_simpson(values * self.c, x=self.grid, initial=0.0)
+    def rows_at(self, x: float) -> list[float]:
+        """Every moment row at x, each equal to ``np.interp(x, grid, row)``.
 
-    def lookup(self, key: str, x) -> np.ndarray:
-        return np.interp(x, self.grid, self._table_cache[key])
-
-    def has(self, key: str) -> bool:
-        return key in self._table_cache
+        One index search serves all rows; the arithmetic is np.interp's, so
+        the values are bit-identical to it for finite rows.
+        """
+        g = self.grid
+        j = max(int(g.searchsorted(x, side="right")) - 1, 0)
+        lo = self.rows[:, j]
+        if j == g.size - 1 or g[j] >= x:  # at a grid point, the last one, or below the first
+            return lo.tolist()
+        x0 = g[j]
+        slope = (self.rows[:, j + 1] - lo) / (g[j + 1] - x0)
+        return (slope * (x - x0) + lo).tolist()
 
     def ybar(self, t) -> np.ndarray:
         return np.exp(-self.B(t)) * self.C(np.minimum(t, self.l_max))
@@ -343,61 +394,65 @@ def _moment_tables(tables: _ModelTables, model: AlternativeModel, regularize: bo
         a = np.where(g >= REGULARIZATION_FLOOR * tables.l_max, a, 0.0)
         a[~np.isfinite(a)] = 0.0
     f_entry = np.asarray(model.entry.cdf(g), dtype=float)
-    tables.cumulative("a", a)
-    tables.cumulative("l", g)
-    tables.cumulative("F", f_entry)
-    tables.cumulative("ll", g * g)
-    tables.cumulative("FF", f_entry * f_entry)
-    tables.cumulative("al", a * g)
-    tables.cumulative("aF", a * f_entry)
-    tables.cumulative("Cc", tables.Ic)
-    tables.cumulative("CC", tables.Ic * tables.Ic)
-    tables.cumulative("aC", a * tables.Ic)
+    ic = tables.Ic
+    # row 0 is C; the others integrate v(l) c(l) for v = a, then z, a z, z^2
+    # for each test's z (the rows _FIRST_Z_ROW names), one v at a time to
+    # hold one temporary at a time
+    rows = np.empty((11, g.size))
+    rows[0] = ic
+
+    def put(k, v):
+        tables.simpson(v * tables.c, out=rows[k])
+
+    put(1, a)
+    put(2, g)
+    put(3, a * g)
+    put(4, g * g)
+    put(5, f_entry)
+    put(6, a * f_entry)
+    put(7, f_entry * f_entry)
+    put(8, ic)
+    put(9, a * ic)
+    put(10, ic * ic)
+    tables.rows = rows
+    tables.Ic = rows[0]  # keep one copy of C
 
 
-def _cov_var(tables: _ModelTables, test: EfficacyTest, ub: float) -> tuple[float, float]:
-    cu = float(tables.C(ub))
+def _node_moments(tables: _ModelTables, test: EfficacyTest, ub: float) -> tuple[float, float, float]:
+    """C(ub) and the at-risk Cov(a, z) and Var(z) at truncation point ub."""
+    row = tables.rows_at(ub)
+    cu = row[0]
     if cu <= 0:
-        return 0.0, 0.0
-    ea = float(tables.lookup("a", ub)) / cu
-    if test is EfficacyTest.LINEAR_SIGN:
-        el = float(tables.lookup("l", ub)) / cu
-        cov = float(tables.lookup("al", ub)) / cu - ea * el
-        var = float(tables.lookup("ll", ub)) / cu - el * el
-    elif test is EfficacyTest.RANK_SIGN:
-        ef = float(tables.lookup("F", ub)) / cu
-        cov = float(tables.lookup("aF", ub)) / cu - ea * ef
-        var = float(tables.lookup("FF", ub)) / cu - ef * ef
-    else:
+        return cu, 0.0, 0.0
+    ea = row[1] / cu
+    k = _FIRST_Z_ROW[test]
+    z, az, zz = row[k:k + 3]
+    if test is EfficacyTest.SIGN_SIGN:
         # z = 1 - F_u(l) with F_u(l) = C(l)/C(ub)
-        efu = float(tables.lookup("Cc", ub)) / cu**2
-        efu2 = float(tables.lookup("CC", ub)) / cu**3
-        eafu = float(tables.lookup("aC", ub)) / cu**2
-        cov = -(eafu - ea * efu)
-        var = efu2 - efu * efu
-    return cov, var
+        efu = z / cu**2
+        efu2 = zz / cu**3
+        eafu = az / cu**2
+        return cu, -(eafu - ea * efu), efu2 - efu * efu
+    ez = z / cu
+    return cu, az / cu - ea * ez, zz / cu - ez * ez
 
 
 def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
              _tables: "_ModelTables | None" = None) -> EfficacyResult:
     """Drift, variance and efficacy of one test under the model's alternative."""
     test = EfficacyTest.parse(test_id)
-    if _tables is not None and _tables.has("a"):
-        tables = _tables
-    else:
-        tables = _tables if _tables is not None else _ModelTables(model)
+    tables = _tables if _tables is not None else _ModelTables(model)
+    if tables.rows is None:
         _moment_tables(tables, model, regularize)
 
     def mu_integrand(u):
-        ub = min(u, tables.l_max)
-        cov, _ = _cov_var(tables, test, ub)
-        yb = float(tables.ybar(u))
+        cu, cov, _ = _node_moments(tables, test, min(u, tables.l_max))
+        yb = float(np.exp(-tables.B(u)) * cu)
         return yb * yb * cov * float(tables.lam1(u))
 
     def s2_integrand(u):
-        ub = min(u, tables.l_max)
-        _, var = _cov_var(tables, test, ub)
-        yb = float(tables.ybar(u))
+        cu, _, var = _node_moments(tables, test, min(u, tables.l_max))
+        yb = float(np.exp(-tables.B(u)) * cu)
         return yb**3 * var * float(tables.lam1(u)) * float(tables.alpha1(u))
 
     opts = dict(epsabs=1e-12, epsrel=1e-8, limit=300)
@@ -415,8 +470,9 @@ def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
 
 def pitman_are(model: AlternativeModel, test_a, test_b, regularize: bool = False) -> float:
     """Ratio of the efficacy of test_a to that of test_b under the model."""
-    ea = efficacy(model, test_a, regularize=regularize)
-    eb = efficacy(model, test_b, regularize=regularize)
+    tables = _ModelTables(model)
+    ea = efficacy(model, test_a, regularize=regularize, _tables=tables)
+    eb = efficacy(model, test_b, regularize=regularize, _tables=tables)
     if eb.efficacy <= 0:
         raise IntegrationFailure("reference test has zero efficacy; ratio undefined")
     return ea.efficacy / eb.efficacy
@@ -442,14 +498,12 @@ def are_table(regularize: bool = True) -> list[dict]:
     for model_name, factory in (("linear-covariate", model_linear_risk),
                                 ("reciprocal-covariate", model_reciprocal_risk)):
         for entry_name, columns in STUDY_COLUMNS.items():
+            cells = {}
             for psi0, psi1 in columns:
-                model = factory(entries[entry_name], psi0=psi0, psi1=psi1)
-                tables = _ModelTables(model)
-                _moment_tables(tables, model, regularize)
-                base = efficacy(model, EfficacyTest.SIGN_SIGN, regularize=regularize,
-                                _tables=tables)
-                for test in (EfficacyTest.RANK_SIGN, EfficacyTest.LINEAR_SIGN):
-                    res = efficacy(model, test, regularize=regularize, _tables=tables)
+                if (psi0, psi1) not in cells:  # a repeated column is computed once
+                    model = factory(entries[entry_name], psi0=psi0, psi1=psi1)
+                    cells[psi0, psi1] = _ratios_vs_sign(model, regularize)
+                for test, eff, ratio in cells[psi0, psi1]:
                     rows.append({
                         "model": model_name,
                         "entry": entry_name,
@@ -457,7 +511,22 @@ def are_table(regularize: bool = True) -> list[dict]:
                         "psi1": psi1,
                         "g_kernel": test.value,
                         "h_kernel": "sign",
-                        "efficacy": res.efficacy,
-                        "are_vs_sign_sign": res.efficacy / base.efficacy,
+                        "efficacy": eff,
+                        "are_vs_sign_sign": ratio,
                     })
     return rows
+
+
+def _ratios_vs_sign(model: AlternativeModel, regularize: bool) -> list[tuple[EfficacyTest, float, float]]:
+    """(test, efficacy, ratio to sign/sign) for the rank and linear members.
+
+    The model's tables are local, so they are freed before the caller builds
+    the next model's.
+    """
+    tables = _ModelTables(model)
+    base = efficacy(model, EfficacyTest.SIGN_SIGN, regularize=regularize, _tables=tables)
+    out = []
+    for test in (EfficacyTest.RANK_SIGN, EfficacyTest.LINEAR_SIGN):
+        eff = efficacy(model, test, regularize=regularize, _tables=tables).efficacy
+        out.append((test, eff, eff / base.efficacy))
+    return out

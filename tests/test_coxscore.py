@@ -4,6 +4,7 @@ import pytest
 from qitest.comparability import lambda_matrix
 from qitest.coxscore import RiskSets, cox_score_covariate, cox_score_rankstar
 from qitest.data import Dataset
+from qitest.errors import DomainError
 from qitest.kernels import Kernel
 from qitest.teststat import u_numerator
 
@@ -50,6 +51,18 @@ class TestCovariateScore:
         exits = 1.0 + rng.exponential(1.0, 20)
         data = Dataset(np.zeros(20), exits, np.ones(20, int))
         assert cox_score_covariate(data, lambda x: x) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("method", ["sweep", "direct", "pairwise"])
+    @pytest.mark.parametrize("a", [
+        lambda x: np.where(x > 1.0, np.nan, x),  # NaN for one subject
+        lambda x: np.where(x > 1.0, np.inf, x),
+        lambda x: 1.0,  # scalar, not one value per subject
+        lambda x: x[:-1],  # one value short
+        lambda x: np.stack([x, x]),
+    ], ids=["nan", "inf", "scalar", "short", "2d"])
+    def test_bad_covariate_values_raise(self, toy_censored, a, method):
+        with pytest.raises(DomainError, match="covariate"):
+            cox_score_covariate(toy_censored, a, method=method)
 
 
 class TestRankStarScore:

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_simpson, quad
 
 from qitest.efficacy import (
+    STUDY_COLUMNS,
     AlternativeModel,
     EfficacyTest,
     _ModelTables,
+    _moment_tables,
+    _node_moments,
+    _ratios_vs_sign,
+    _Simpson,
     conditional_entry_density,
     efficacy,
     exponential_entry,
@@ -30,6 +36,73 @@ def exp_model():
 @pytest.fixture(scope="module")
 def exp_tables(exp_model):
     return _ModelTables(exp_model)
+
+
+@pytest.fixture(scope="module")
+def exp_moment_tables(exp_model):
+    tables = _ModelTables(exp_model)
+    _moment_tables(tables, exp_model, regularize=False)
+    return tables
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestSimpson:
+    """The grid-level rule against SciPy's cumulative_simpson, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 99), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_random_grids(self, half, odd, seed):
+        n = 2 * half + 1 if odd else 2 * half + 2  # 3 <= n <= 200, both parities
+        rng = np.random.default_rng(seed)
+        # spacings over six decades, so neighbouring intervals differ widely
+        x = rng.uniform(-5, 5) + np.cumsum(10.0 ** rng.uniform(-3, 3, n))
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+        y[rng.random(n) < 0.1] = 0.0
+        assert bits(_Simpson(x)(y)) == bits(cumulative_simpson(y, x=x, initial=0.0))
+
+    def test_negative_zeros(self):
+        x = np.array([0.0, 1.0, 3.0, 3.5])
+        y = np.array([-0.0, -0.0, 0.0, -0.0])
+        assert bits(_Simpson(x)(y)) == bits(cumulative_simpson(y, x=x, initial=0.0))
+
+    def test_model_grid(self, exp_model, exp_tables):
+        # the mixed geometric/uniform entry grid, on integrands of the kinds a model uses
+        g = exp_tables.grid
+        for y in (exp_tables.c, g * exp_tables.c, exp_model.entry.cdf(g) * exp_tables.c,
+                  exp_tables.Ic * exp_tables.c, np.full(g.size, 0.3)):
+            assert bits(exp_tables.simpson(y)) == bits(cumulative_simpson(y, x=g, initial=0.0))
+
+
+class TestRowLookup:
+    """One index search per node reads every moment row exactly as np.interp."""
+
+    def assert_matches_interp(self, tables, xs):
+        for x in xs:
+            want = [float(np.interp(x, tables.grid, row)) for row in tables.rows]
+            assert bits(tables.rows_at(float(x))) == bits(want), x
+
+    def test_grid_points(self, exp_moment_tables):
+        g = exp_moment_tables.grid
+        self.assert_matches_interp(exp_moment_tables, g[[0, 1, 2, 9599, 9600, 9601, 100_000, g.size - 2]])
+
+    def test_last_point_and_beyond(self, exp_moment_tables):
+        l_max = exp_moment_tables.l_max
+        self.assert_matches_interp(exp_moment_tables, [l_max, l_max * (1 + 1e-15), 2 * l_max])
+
+    def test_below_first_point(self, exp_moment_tables):
+        first = exp_moment_tables.grid[0]
+        self.assert_matches_interp(exp_moment_tables, [0.0, 0.5 * first, np.nextafter(first, 0.0)])
+
+    def test_random_interior_points(self, exp_moment_tables):
+        rng = np.random.default_rng(7)
+        l_max = exp_moment_tables.l_max
+        # uniform over the bulk and log-uniform over the geometric head
+        xs = np.concatenate([rng.uniform(0.0, l_max, 300),
+                             l_max * 10.0 ** rng.uniform(-12, -2, 300)])
+        self.assert_matches_interp(exp_moment_tables, xs)
 
 
 class TestEntryDensity:
@@ -131,17 +204,25 @@ class TestEfficacy:
         model = model_linear_risk(exponential_entry(2.0), 0.0, 0.0)
         assert pitman_are(model, "rank", "rank") == pytest.approx(1.0)
 
-    def test_sign_variance_matches_uniform_rank_limit(self, exp_model):
+    def test_sign_variance_matches_uniform_rank_limit(self, exp_model, exp_moment_tables):
         # the within-risk-set scaled rank has limiting variance 1/12
         res = efficacy(AlternativeModel(entry=exp_model.entry), "sign")
-        tables = _ModelTables(exp_model)
-        from qitest.efficacy import _cov_var, _moment_tables
-
-        _moment_tables(tables, exp_model, regularize=False)
         for ub in (0.5, 2.0, 8.0):
-            _, var = _cov_var(tables, EfficacyTest.SIGN_SIGN, ub)
+            _, _, var = _node_moments(exp_moment_tables, EfficacyTest.SIGN_SIGN, ub)
             assert var == pytest.approx(1 / 12, rel=1e-5)
         assert res.sigma2_inf > 0
+
+    def test_pitman_are_builds_tables_once(self, monkeypatch):
+        built = []
+        init = _ModelTables.__init__
+
+        def counting_init(self, model):
+            built.append(model)
+            init(self, model)
+
+        monkeypatch.setattr(_ModelTables, "__init__", counting_init)
+        pitman_are(model_linear_risk(exponential_entry(2.0), 0.0, 1.0), "linear", "sign")
+        assert len(built) == 1
 
     def test_divergent_covariate_raises_without_regularization(self):
         model = model_reciprocal_risk(exponential_entry(2.0), 0.0, 1.0)
@@ -160,3 +241,25 @@ class TestEfficacy:
         assert pitman_are(model, "linear", "sign") == pytest.approx(1.800, rel=0.05)
         model11 = model_linear_risk(exponential_entry(2.0), 1.0, 1.0)
         assert pitman_are(model11, "rank", "sign") == pytest.approx(1.325, rel=0.05)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_grid_refinement_moves_published_ratios_below_1e6(monkeypatch):
+    # halve and double both entry-grid sizes (intervals, so the point counts
+    # stay odd); the linear-model ratios of every distinct study cell must hold
+    entries = {"exponential": exponential_entry(2.0), "uniform": uniform_entry()}
+    models = [model_linear_risk(entries[name], psi0, psi1)
+              for name, columns in STUDY_COLUMNS.items() for psi0, psi1 in dict.fromkeys(columns)]
+    assert len(models) == 5
+
+    def ratios():
+        return np.array([ratio for model in models
+                         for _, _, ratio in _ratios_vs_sign(model, regularize=True)])
+
+    base = ratios()
+    geom, unif = _ModelTables.GEOM_POINTS, _ModelTables.UNIF_POINTS
+    for scale in (0.5, 2.0):
+        monkeypatch.setattr(_ModelTables, "GEOM_POINTS", int((geom - 1) * scale) + 1)
+        monkeypatch.setattr(_ModelTables, "UNIF_POINTS", int((unif - 1) * scale) + 1)
+        moved = np.max(np.abs(ratios() - base))
+        assert moved < 1e-6, f"grid x{scale}: ratios moved by {moved:.2e}"
