@@ -49,7 +49,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationFailure
 
@@ -159,7 +158,14 @@ def _as_fun(h: "HazardLike") -> Callable[[np.ndarray], np.ndarray]:
     if callable(h):
         return lambda x: np.asarray(h(np.asarray(x, dtype=float)), dtype=float)
     v = float(h)
-    return lambda x: np.full(np.shape(np.asarray(x, dtype=float)), v, dtype=float)
+
+    def constant(x):
+        # the quadrature nodes are Python floats: no array for a constant
+        if isinstance(x, float):
+            return v
+        return np.full(np.shape(np.asarray(x, dtype=float)), v, dtype=float)
+
+    return constant
 
 
 class _Simpson:
@@ -440,6 +446,8 @@ def _node_moments(tables: _ModelTables, test: EfficacyTest, ub: float) -> tuple[
 def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
              _tables: "_ModelTables | None" = None) -> EfficacyResult:
     """Drift, variance and efficacy of one test under the model's alternative."""
+    from scipy.integrate import quad  # imported here: ``import qitest`` stays free of SciPy
+
     test = EfficacyTest.parse(test_id)
     tables = _tables if _tables is not None else _ModelTables(model)
     if tables.rows is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class Kernel(enum.Enum):
@@ -55,11 +54,19 @@ def rank_transform(values) -> np.ndarray:
 
     Distinct values receive a permutation of 1/n, 2/n, ..., n/n; ties share
     the average of the ranks they span, so tied entries have equal output.
+    The midrank of v is (#{values < v} + #{values <= v} + 1) / 2, so the
+    result equals ``scipy.stats.rankdata(values) / n`` bit for bit (one
+    rounding of the same ratio); a NaN anywhere makes every output NaN, as
+    there.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    values = np.asarray(values, dtype=float).ravel()
+    n = values.size
+    if n == 0:
         raise ValueError("rank_transform needs a non-empty sequence")
-    return rankdata(values, method="average") / values.size
+    if np.isnan(values).any():
+        return np.full(n, np.nan)
+    s = np.sort(values)
+    return (np.searchsorted(s, values, "left") + np.searchsorted(s, values, "right") + 1) / (2 * n)
 
 
 def eval_rank_kernel(ranks: np.ndarray, i: int, j: int) -> float:

@@ -25,10 +25,15 @@ import numpy as np
 from .data import Dataset
 from .errors import CalibrationFailure, DegenerateDataset, DegenerateVariance, GenerationStall
 from .kernels import Kernel
-from .teststat import STANDARD_PAIRS, run_test_grid
+from .teststat import STANDARD_PAIRS, _grid_block
 
 _ACCEPT_FLOOR = 1e-6
 _BATCH_CAP = 4_000_000
+#: relative distance from a probe rate within which a draw's censoring
+#: threshold is re-evaluated by the probe's own comparison
+_NEAR = 1e-12
+#: subjects per block of replicates tested by one engine call
+_BLOCK_SUBJECTS = 8192
 
 
 class ScenarioFamily(enum.Enum):
@@ -129,14 +134,62 @@ def generate_dataset(scenario: SimScenario, rng: np.random.Generator,
     return Dataset(entry[:n], exit_[:n], event[:n])
 
 
+def _count_at_least(x: np.ndarray, bound: np.ndarray, strict: bool):
+    """rate -> #{i : fl(x_i / rate) > bound_i}, or >= bound_i when not ``strict``.
+
+    ``x`` is positive (at least -log(1 - 2^-53)) and the bisection probes
+    rates up to 4^60, so fl(x_i / rate) is positive and non-increasing in the
+    rate: a draw with bound_i <= 0 always counts, and one with bound_i > 0
+    counts below its threshold rate x_i / bound_i and not above it. With the thresholds sorted
+    once, a probe is one search. Draws whose threshold lies within a relative
+    _NEAR of the rate, far wider than the rounding of either quotient, are
+    decided by the comparison itself.
+    """
+    positive = bound > 0
+    always = x.size - int(np.count_nonzero(positive))
+    x, bound = x[positive], bound[positive]
+    threshold = x / bound
+    order = np.argsort(threshold)
+    threshold, x, bound = threshold[order], x[order], bound[order]
+    compare = np.greater if strict else np.greater_equal
+
+    def count(rate: float) -> int:
+        lo, hi = np.searchsorted(threshold, (rate * (1.0 - _NEAR), rate * (1.0 + _NEAR)))
+        return (always + threshold.size - int(hi)
+                + int(np.count_nonzero(compare(x[lo:hi] / rate, bound[lo:hi]))))
+
+    return count
+
+
+def _censored_fraction(entry: np.ndarray, failure: np.ndarray, log_u: np.ndarray):
+    """rate -> censored fraction of the latent draws that pass truncation.
+
+    With censoring time c = fl(log_u / rate), a draw is kept iff
+    entry < min(failure, c), and kept and uncensored iff entry < failure and
+    c >= failure (then c > entry). Both counts are monotone in the rate; the
+    fraction is 1.0 when no draw is kept.
+    """
+    first = entry < failure
+    log_u = log_u[first]
+    kept = _count_at_least(log_u, entry[first], strict=True)
+    observed = _count_at_least(log_u, failure[first], strict=False)
+
+    def censored_fraction(rate: float) -> float:
+        k = kept(rate)
+        return 1.0 if k == 0 else (k - observed(rate)) / k
+
+    return censored_fraction
+
+
 def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None,
                         probe_draws: int = 100_000, tol: float = 0.005) -> float:
     """Exponential censoring rate hitting the post-truncation censored target.
 
     Uses one fixed batch of latent draws with common random numbers across
-    probe rates, so the probed censored fraction is a deterministic monotone
-    function of the rate and plain bisection applies. Returns 0.0 when the
-    target is None or 0 (censoring disabled).
+    probe rates, so the probed censored fraction is a deterministic function
+    of the rate and plain bisection applies. Each probe counts the kept and
+    the censored draws from thresholds sorted once, instead of passing over
+    every draw. Returns 0.0 when the target is None or 0 (censoring disabled).
     """
     target = scenario.censoring_target if target_rate is None else target_rate
     if target is None or target == 0:
@@ -147,15 +200,7 @@ def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None,
                                                        spawn_key=(0xCA11B,)))
     entry, failure = _draw_latent(scenario.family, rng, probe_draws)
     u = rng.uniform(size=probe_draws)
-    log_u = -np.log(u)
-
-    def censored_fraction(rate: float) -> float:
-        c = log_u / rate
-        t = np.minimum(failure, c)
-        keep = entry < t
-        if not keep.any():
-            return 1.0
-        return float(np.mean(c[keep] < failure[keep]))
+    censored_fraction = _censored_fraction(entry, failure, -np.log(u))
 
     lo, hi = 1e-9, 1.0
     for _ in range(60):
@@ -185,7 +230,14 @@ def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None,
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated results of one replicated experiment."""
+    """Aggregated results of one replicated experiment.
+
+    A replicate whose whole dataset has no statistic (DegenerateDataset) is
+    counted in ``degenerate_datasets``; a replicate where only some cells have
+    a degenerate variance is counted, per cell, in ``degenerate_cells``.
+    Degenerate results reject nothing, and every rejection rate is taken over
+    all ``replicates``.
+    """
 
     scenario: SimScenario
     censored_mode: bool
@@ -193,9 +245,19 @@ class ExperimentReport:
     replicates: int
     kernel_pairs: tuple
     rejections: dict
-    degenerate: int
+    degenerate_datasets: int
+    degenerate_cells: dict
     mean_censored_fraction: float
     censoring_rate: float
+
+    @property
+    def degenerate(self) -> int:
+        """Degenerate results in all: one per degenerate dataset, one per degenerate cell."""
+        return self.degenerate_datasets + sum(self.degenerate_cells.values())
+
+    def degenerate_replicates(self, g, h) -> int:
+        """Replicates in which the (g, h) cell has no statistic."""
+        return self.degenerate_datasets + self.degenerate_cells[(Kernel.parse(g), Kernel.parse(h))]
 
     def rejection_rate(self, g, h) -> float:
         return self.rejections[(Kernel.parse(g), Kernel.parse(h))] / self.replicates
@@ -218,33 +280,42 @@ class ExperimentReport:
                 "rejection_rate": self.rejection_rate(g, h),
                 "monte_carlo_se": self.monte_carlo_se(g, h),
                 "mean_censored_fraction": self.mean_censored_fraction,
-                "degenerate_replicates": self.degenerate,
+                "degenerate_replicates": self.degenerate_replicates(g, h),
             })
         return rows
 
 
+def _replicate_rng(seed: int, r: int) -> np.random.Generator:
+    """The generator of replicate r, independent of every other replicate's."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+
+
 def _replicate_batch(args):
+    """Tallies of replicates lo..hi-1, generated and tested a block at a time."""
     scenario, censoring_rate, pairs, level, lo, hi = args
     tallies = {pair: 0 for pair in pairs}
-    degenerate = 0
+    cells = {pair: 0 for pair in pairs}
+    datasets = 0
     censored = 0  # censored subjects, an integer so the total is order-free
     censored_mode = scenario.censoring_target is not None
-    for r in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed,
-                                                           spawn_key=(r,)))
-        data = generate_dataset(scenario, rng, censoring_rate)
-        censored += data.n - data.n_events
-        try:
-            results = run_test_grid(data, pairs, censored_mode=censored_mode)
-        except DegenerateDataset:
-            degenerate += 1
-            continue
-        for pair, res in results.items():
-            if isinstance(res, DegenerateVariance):
-                degenerate += 1
-            elif res.p_value < level:
-                tallies[pair] += 1
-    return tallies, degenerate, censored
+    per_block = max(1, _BLOCK_SUBJECTS // scenario.target_n)
+    for start in range(lo, hi, per_block):
+        block = [generate_dataset(scenario, _replicate_rng(scenario.seed, r), censoring_rate)
+                 for r in range(start, min(start + per_block, hi))]
+        censored += sum(data.n - data.n_events for data in block)
+        grids = _grid_block(np.stack([data.entry for data in block]),
+                            np.stack([data.exit for data in block]),
+                            np.stack([data.event for data in block]), pairs, censored_mode)
+        for grid in grids:
+            if isinstance(grid, DegenerateDataset):
+                datasets += 1
+                continue
+            for pair, res in grid.items():
+                if isinstance(res, DegenerateVariance):
+                    cells[pair] += 1
+                elif res.p_value < level:
+                    tallies[pair] += 1
+    return tallies, cells, datasets, censored
 
 
 def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
@@ -254,9 +325,9 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
 
     Each replicate generates a fresh dataset from its own derived stream and
     runs every kernel pair on it at the given significance level. Replicates
-    whose statistic is undefined are excluded and counted. The report is
-    bit-identical for fixed (scenario, replicates); ``n_jobs`` only changes
-    wall-clock time.
+    whose statistic is undefined reject nothing and are counted. The report
+    is bit-identical for fixed (scenario, replicates); ``n_jobs`` only
+    changes wall-clock time.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
@@ -275,13 +346,15 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
             outputs = list(pool.map(_replicate_batch, chunks))
 
     tallies = {pair: 0 for pair in pairs}
-    degenerate = 0
+    cells = {pair: 0 for pair in pairs}
+    datasets = 0
     censored = 0
-    for t, d, c in outputs:
-        for pair, v in t.items():
-            tallies[pair] += v
-        degenerate += d
-        censored += c
+    for t, c, d, k in outputs:
+        for pair in pairs:
+            tallies[pair] += t[pair]
+            cells[pair] += c[pair]
+        datasets += d
+        censored += k
     return ExperimentReport(
         scenario=scenario,
         censored_mode=scenario.censoring_target is not None,
@@ -289,7 +362,8 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
         replicates=replicates,
         kernel_pairs=pairs,
         rejections=tallies,
-        degenerate=degenerate,
+        degenerate_datasets=datasets,
+        degenerate_cells=cells,
         mean_censored_fraction=censored / (scenario.target_n * replicates),
         censoring_rate=censoring_rate,
     )

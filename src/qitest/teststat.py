@@ -7,7 +7,8 @@ pair-product row sums, and the squared standardized statistic is referred to
 a chi-square distribution with one degree of freedom.
 
 Every test reduces the per-subject row sums of ``rowsums.row_sums``, computed
-in O(n log^2 n) time and O(n) memory without any n-by-n array. The dense
+in O(n log n) time and O(n) memory without any n-by-n array; the Monte Carlo
+harness tests a block of datasets with one call (``_grid_block``). The dense
 ``pair_products`` and the O(n^3) ``phi_hat_bruteforce`` are the definitional
 forms, kept as testing oracles. All accumulations are numpy reductions over
 arrays of fixed shape, so results are bit-reproducible for a given dataset.
@@ -24,7 +25,7 @@ from .comparability import comparable_matrix
 from .data import Dataset
 from .errors import DegenerateDataset, DegenerateVariance, DomainError
 from .kernels import Kernel, pair_matrix
-from .rowsums import row_sums
+from .rowsums import block_row_sums, row_sums
 
 #: The five kernel pairs studied throughout: (entry kernel, exit kernel).
 STANDARD_PAIRS = (
@@ -59,21 +60,23 @@ class TestResult:
         return d
 
 
-def _pair_and_triple_sums(r: np.ndarray, r_sq: np.ndarray) -> tuple[float, float]:
+def _pair_and_triple_sums(r: np.ndarray, r_sq: np.ndarray):
     """Pair sum and ordered-triple sum of a kernel pair, from its row sums.
 
     The sum over unordered comparable pairs is sum(r) / 2. For each hub i,
     the sum of a_ij a_ik over j != k (both != i) is r_i^2 minus the row sum
-    of squares r_sq_i.
+    of squares r_sq_i. Both sums run over the last axis, so a block of
+    datasets gets one pair of sums per dataset.
     """
-    return float(r.sum()) / 2.0, float(np.sum(r * r - r_sq))
+    return r.sum(axis=-1) / 2.0, np.sum(r * r - r_sq, axis=-1)
 
 
 def _one_pair(data: Dataset, g, h, censored_mode: bool) -> tuple[int, float, float]:
     """Comparable-pair count, pair sum and ordered-triple sum of one kernel pair."""
     pair = (Kernel.parse(g), Kernel.parse(h))
     count, sums = row_sums(data, [pair], censored_mode)
-    return int(count.sum()) // 2, *_pair_and_triple_sums(*sums[pair])
+    pair_sum, triple_sum = _pair_and_triple_sums(*sums[pair])
+    return int(count.sum()) // 2, float(pair_sum), float(triple_sum)
 
 
 def pair_products(data: Dataset, g, h, censored_mode: bool = False) -> np.ndarray:
@@ -104,7 +107,7 @@ def kappa_hat(data: Dataset, g, h, censored_mode: bool = False) -> float:
 
 
 def phi_hat_fast(data: Dataset, g, h, censored_mode: bool = False) -> float:
-    """Plug-in variance piece: the ordered-triple average of a_ij a_ik (O(n log^2 n))."""
+    """Plug-in variance piece: the ordered-triple average of a_ij a_ik (O(n log n))."""
     n = data.n
     if n < 3:
         raise DegenerateDataset("variance estimation needs at least three observations")
@@ -178,38 +181,60 @@ def run_test_grid(data: Dataset, pairs=STANDARD_PAIRS, censored_mode: bool = Fal
     cell maps to the exception instance instead.
     """
     pairs = [(Kernel.parse(g), Kernel.parse(h)) for g, h in pairs]
-    n = data.n
+    (grid,) = _grid_block(data.entry[None], data.exit[None], data.event[None], pairs,
+                          censored_mode)
+    if isinstance(grid, DegenerateDataset):
+        raise grid
+    return grid
+
+
+def _grid_block(entry: np.ndarray, exit_: np.ndarray, event: np.ndarray, pairs,
+                censored_mode: bool) -> list:
+    """:func:`run_test_grid` on each row of a block of datasets of one size.
+
+    The (R, n) arrays hold one dataset per row and ``pairs`` parsed kernel
+    pairs. Returns one grid per row, or the DegenerateDataset of a row whose
+    statistic is undefined. Each row's grid equals that of its own dataset.
+    """
+    R, n = entry.shape
     if n < 3:
-        raise DegenerateDataset("the chi-square test needs at least three observations")
-    counts, sums = row_sums(data, pairs, censored_mode)
-    count = int(counts.sum()) // 2
-    if count == 0:
-        raise DegenerateDataset("no comparable pairs; the statistic is undefined")
-    pr = count / (n * (n - 1) / 2.0)
-    out = {}
-    for g, h in pairs:
-        pair_sum, triple_sum = _pair_and_triple_sums(*sums[(g, h)])
-        kappa = pair_sum / count
-        phi = triple_sum / (n * (n - 1) * (n - 2))
-        try:
-            stat, p = chi_square_test(kappa, phi, pr, n)
-        except DegenerateVariance as exc:
-            out[(g, h)] = exc
+        return [DegenerateDataset("the chi-square test needs at least three observations")
+                for _ in range(R)]
+    counts, sums = block_row_sums(entry, exit_, event, pairs, censored_mode)
+    comparable = counts.sum(axis=1) // 2
+    pair_triple = {pair: _pair_and_triple_sums(r, r_sq) for pair, (r, r_sq) in sums.items()}
+    grids = []
+    for row in range(R):
+        count = int(comparable[row])
+        if count == 0:
+            grids.append(DegenerateDataset("no comparable pairs; the statistic is undefined"))
             continue
-        out[(g, h)] = TestResult(
-            kappa_hat=kappa,
-            n=n,
-            n_comparable=count,
-            pr_hat=pr,
-            phi_hat=phi,
-            chi_square=stat,
-            p_value=p,
-            g_kernel=g,
-            h_kernel=h,
-            censored_mode=bool(censored_mode),
-            assumption_3b_required=bool(censored_mode) and h is not Kernel.SIGN,
-        )
-    return out
+        pr = count / (n * (n - 1) / 2.0)
+        grid = {}
+        for g, h in pairs:
+            pair_sums, triple_sums = pair_triple[(g, h)]
+            kappa = float(pair_sums[row]) / count
+            phi = float(triple_sums[row]) / (n * (n - 1) * (n - 2))
+            try:
+                stat, p = chi_square_test(kappa, phi, pr, n)
+            except DegenerateVariance as exc:
+                grid[(g, h)] = exc
+                continue
+            grid[(g, h)] = TestResult(
+                kappa_hat=kappa,
+                n=n,
+                n_comparable=count,
+                pr_hat=pr,
+                phi_hat=phi,
+                chi_square=stat,
+                p_value=p,
+                g_kernel=g,
+                h_kernel=h,
+                censored_mode=bool(censored_mode),
+                assumption_3b_required=bool(censored_mode) and h is not Kernel.SIGN,
+            )
+        grids.append(grid)
+    return grids
 
 
 def reverse_roles(data: Dataset) -> Dataset:

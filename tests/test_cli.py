@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +160,16 @@ class TestCoxCheckCommand:
         for row in rows:
             assert row["sweep"] == pytest.approx(row["direct"], rel=1e-12, abs=1e-12)
             assert row["sweep"] == pytest.approx(row["pairwise_form"], rel=1e-12, abs=1e-12)
+
+
+def test_import_and_test_command_leave_scipy_stats_unloaded(sample_csv):
+    """``import qitest`` and ``qitest test`` need numpy only: no scipy.stats import cost."""
+    script = ("import sys; import qitest; from qitest.cli import main; "
+              "assert 'scipy.stats' not in sys.modules, 'import'; "
+              f"main(['test', {sample_csv!r}, '--event', 'event', '--g', 'rank', '--h', 'rank']); "
+              "assert 'scipy.stats' not in sys.modules, 'test'")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "chi-square" in done.stdout

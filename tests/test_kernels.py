@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from qitest.kernels import Kernel, eval_linear, eval_rank_kernel, eval_sign, pair_matrix, rank_transform
 
@@ -28,6 +29,24 @@ def test_rank_transform_examples():
 def test_rank_transform_rejects_empty():
     with pytest.raises(ValueError):
         rank_transform([])
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 300), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_midranks_equal_rankdata_bit_for_bit(n, decimals, seed):
+    """Ties come from rounding; n = 1 and all-tied samples are among the draws."""
+    values = np.round(np.random.default_rng(seed).normal(0.0, 3.0, n), decimals)
+    want = rankdata(values) / n
+    got = rank_transform(values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    tied = np.full(n, values[0])
+    assert rank_transform(tied).tobytes() == (rankdata(tied) / n).tobytes()
+
+
+def test_midranks_of_nan_and_infinities_follow_rankdata():
+    for values in ([1.0, np.nan, 0.0], [np.inf, -np.inf, 0.0, np.inf]):
+        want = rankdata(values) / len(values)
+        np.testing.assert_array_equal(rank_transform(values), want)
 
 
 def test_rank_kernel_examples():

@@ -17,9 +17,9 @@ from qitest.comparability import comparable_matrix, count_comparable
 from qitest.data import Dataset
 from qitest.errors import DegenerateDataset
 from qitest.kernels import Kernel, pair_matrix, rank_transform
-from qitest.rowsums import row_sums
-from qitest.teststat import (STANDARD_PAIRS, kappa_hat, pair_products, phi_hat_fast,
-                             run_test_grid, u_numerator)
+from qitest.rowsums import block_row_sums, row_sums
+from qitest.teststat import (STANDARD_PAIRS, _grid_block, kappa_hat, pair_products,
+                             phi_hat_fast, run_test_grid, u_numerator)
 
 ALL_PAIRS = list(itertools.product(Kernel, Kernel))
 TOL = 1e-12
@@ -36,6 +36,20 @@ def datasets(draw):
     exit_ = entry + np.round(rng.exponential(2.0, n), decimals) + 10.0**-decimals
     event = (rng.random(n) >= censoring).astype(int)
     return Dataset(entry, exit_, event)
+
+
+@st.composite
+def blocks(draw):
+    """1 to 7 datasets of 3 to 60 subjects each, as for ``datasets``; rows may be all censored."""
+    R = draw(st.integers(1, 7))
+    n = draw(st.integers(3, 60))
+    decimals = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entry = np.round(rng.exponential(1.0, (R, n)), decimals)
+    exit_ = entry + np.round(rng.exponential(2.0, (R, n)), decimals) + 10.0**-decimals
+    censoring = np.array([draw(st.sampled_from([0.0, 0.3, 0.95, 1.0])) for _ in range(R)])
+    event = (rng.random((R, n)) >= censoring[:, None]).astype(np.int8)
+    return entry, exit_, event
 
 
 def assert_rows_close(got, want, scale):
@@ -87,6 +101,29 @@ def test_entry_points_match_dense(data, censored):
         assert phi_hat_fast(data, g, h, censored) == pytest.approx(
             np.sum(r * r - r_sq) / (n * (n - 1) * (n - 2)),
             rel=0, abs=3 * TOL * np.sum(scale**2) / (n * (n - 1) * (n - 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(), st.booleans())
+def test_block_rows_equal_single_datasets(block, censored):
+    """Each row of a block is bit for bit its own dataset's result."""
+    entry, exit_, event = block
+    count, sums = block_row_sums(entry, exit_, event, ALL_PAIRS, censored)
+    grids = _grid_block(entry, exit_, event, STANDARD_PAIRS, censored)
+    for row in range(entry.shape[0]):
+        data = Dataset(entry[row], exit_[row], event[row])
+        one_count, one_sums = row_sums(data, ALL_PAIRS, censored)
+        np.testing.assert_array_equal(count[row], one_count)
+        for pair in ALL_PAIRS:
+            np.testing.assert_array_equal(sums[pair][0][row], one_sums[pair][0])
+            np.testing.assert_array_equal(sums[pair][1][row], one_sums[pair][1])
+        try:
+            want = run_test_grid(data, STANDARD_PAIRS, censored_mode=censored)
+        except DegenerateDataset as exc:
+            assert isinstance(grids[row], DegenerateDataset) and str(grids[row]) == str(exc)
+            continue
+        assert {pair: repr(cell) for pair, cell in grids[row].items()} == {
+            pair: repr(cell) for pair, cell in want.items()}
 
 
 def test_tiny_tied_and_all_censored():
