@@ -8,14 +8,8 @@ Monte Carlo harness, and a bundled real data set.
 
 __version__ = "0.1.0"
 
-from .comparability import (
-    count_comparable,
-    lambda_indicator,
-    lambda_matrix,
-    omega_indicator,
-    omega_matrix,
-)
-from .coxscore import RiskSets, cox_score_covariate, cox_score_rankstar
+from .comparability import count_comparable, lambda_matrix, omega_matrix
+from .coxscore import cox_score_covariate, cox_score_rankstar
 from .data import Dataset, Observation
 from .datasets import CHANNING_SHA256, load_channing
 from .efficacy import (
@@ -46,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import IngestReport, InputSpec, ingest_csv
-from .kernels import Kernel, eval_linear, eval_rank_kernel, eval_sign, rank_transform
+from .kernels import Kernel, rank_transform
 from .simulate import (
     ExperimentReport,
     ScenarioFamily,
@@ -89,7 +83,6 @@ __all__ = [
     "Observation",
     "ParseError",
     "QITestError",
-    "RiskSets",
     "STANDARD_PAIRS",
     "ScenarioFamily",
     "SimScenario",
@@ -104,19 +97,14 @@ __all__ = [
     "cox_score_covariate",
     "cox_score_rankstar",
     "efficacy",
-    "eval_linear",
-    "eval_rank_kernel",
-    "eval_sign",
     "exponential_entry",
     "generate_dataset",
     "ingest_csv",
     "kappa_hat",
-    "lambda_indicator",
     "lambda_matrix",
     "load_channing",
     "model_linear_risk",
     "model_reciprocal_risk",
-    "omega_indicator",
     "omega_matrix",
     "phi_hat_bruteforce",
     "phi_hat_fast",

@@ -17,26 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, Observation
+from .data import Dataset
 from .rowsums import row_sums
-
-
-def omega_indicator(a: Observation, b: Observation) -> int:
-    """1 iff the two observation windows strictly overlap (truncation-only rule)."""
-    return int(max(a.entry, b.entry) < min(a.exit, b.exit))
-
-
-def lambda_indicator(a: Observation, b: Observation) -> int:
-    """1 iff the windows overlap and the earlier exit is an observed failure."""
-    if not max(a.entry, b.entry) < min(a.exit, b.exit):
-        return 0
-    if a.event and b.event:
-        return 1
-    if a.event and b.exit > a.exit:
-        return 1
-    if b.event and a.exit > b.exit:
-        return 1
-    return 0
 
 
 def omega_matrix(data: Dataset) -> np.ndarray:

@@ -18,6 +18,16 @@ definition while sign(0) = 0 drops it from the pairwise form, so under ties
 the forms differ. The direct risk-set evaluation (``method="direct"``) is
 the definitional oracle, while ``method="sweep"`` maintains the risk set
 incrementally in O(n log n).
+
+The direct forms cost O(n^2) time and memory: each builds the risk-set
+matrix "j is at risk at T_i", L_j < T_i <= T_j, once over subjects j and
+exit times T_i, and counts over it. For the rank covariate the subjects
+are put in entry order and the at-risk counts cumulated along them; read
+at the end of each entry-tie group, the cumulative count gives for event i
+the risk-set size Y_i, the rank R_i = 1 + #{at risk with larger entry} and
+the number P_i of at-risk pairs with strictly ordered entries. The score is
+the sum over events of R_i - (Y_i + P_i) / Y_i, the event's rank minus the
+risk-set mean rank.
 """
 
 from __future__ import annotations
@@ -31,27 +41,6 @@ from .data import Dataset
 from .errors import DomainError
 
 
-class RiskSets:
-    """Pointwise risk-set queries over a dataset (used mostly in tests)."""
-
-    def __init__(self, data: Dataset):
-        self._data = data
-
-    def at_risk(self, t: float) -> np.ndarray:
-        """Indices of subjects with entry < t <= exit."""
-        d = self._data
-        return np.flatnonzero((d.entry < t) & (t <= d.exit))
-
-    def size(self, t: float) -> int:
-        return int(self.at_risk(t).size)
-
-    def rank(self, i: int, t: float) -> int:
-        """1 + number of at-risk subjects whose entry strictly exceeds entry_i."""
-        d = self._data
-        at = (d.entry < t) & (t <= d.exit)
-        return 1 + int(np.sum(at & (d.entry > d.entry[i])))
-
-
 def _score_direct(data: Dataset, z: np.ndarray) -> float:
     # risk[j, i] = 1 if j is at risk at T_i
     at = (data.entry[:, None] < data.exit[None, :]) & (data.exit[None, :] <= data.exit[:, None])
@@ -62,17 +51,22 @@ def _score_direct(data: Dataset, z: np.ndarray) -> float:
 
 
 def _rankstar_direct(data: Dataset) -> float:
-    # events contribute Y(T_i) * (R_i* - mean R* over risk set), which is
-    # R_i(T_i) - (Y(T_i) + 1) / 2 when at-risk entries are distinct
-    at = (data.entry[:, None] < data.exit[None, :]) & (data.exit[None, :] <= data.exit[:, None])
-    total = 0.0
-    for i in np.flatnonzero(data.event == 1):
-        risk = at[:, i]
-        y = int(risk.sum())
-        ranks = 1 + (risk[None, :] & (data.entry[None, :] > data.entry[:, None])).sum(axis=1)
-        rstar = ranks / y
-        total += y * (rstar[i] - rstar[risk].sum() / y)
-    return float(total)
+    order = np.argsort(data.entry, kind="stable")
+    entry, exit_ = data.entry[order], data.exit[order]
+    events = data.event == 1
+    t = data.exit[events]
+    # at[i, j]: subject j (columns in entry order) is at risk at event i's exit
+    at = (entry[None, :] < t[:, None]) & (t[:, None] <= exit_[None, :])
+    # counts are at most n, so int32; the pair counts P are summed in int64
+    last = np.flatnonzero(np.r_[entry[1:] != entry[:-1], True])  # end of each entry-tie group
+    up_to = np.cumsum(at, axis=1, dtype=np.int32)[:, last]  # at risk with entry <= the group's
+    y = up_to[:, -1]
+    group = np.searchsorted(entry[last], data.entry[events])
+    r = 1 + y - up_to[np.arange(t.size), group]
+    # each group's at-risk subjects times the at-risk subjects with smaller entry
+    below = up_to[:, :-1]
+    p = np.einsum("eg,eg->e", up_to[:, 1:] - below, below, dtype=np.int64)
+    return float(np.sum(r - (y + p) / y))
 
 
 def _sweep_order(data: Dataset):
@@ -172,7 +166,10 @@ def cox_score_rankstar(data: Dataset, method: str = "sweep") -> float:
     count from above (1 + number of strictly larger at-risk entries). The
     mean rank is (Y + 1)/2 for distinct entries; under entry ties it equals
     (Y + P)/Y with P the number of strictly ordered at-risk pairs, which the
-    sweep maintains incrementally.
+    sweep (``method="sweep"``, O(n log n)) maintains incrementally.
+    ``method="direct"`` counts R_i, Y_i and P_i for every event from one
+    risk-set matrix over (events) x (subjects in entry order), in O(n^2)
+    time and memory.
     """
     if method == "direct":
         return _rankstar_direct(data)

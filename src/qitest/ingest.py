@@ -42,47 +42,63 @@ class IngestReport:
     warnings: list = field(default_factory=list)
 
 
-def _cell(row, key, spec, row_no):
+def _column(key, names: dict) -> tuple:
+    """(key, position): a header name wins, otherwise ``key`` read as a 0-based index."""
+    if str(key) in names:
+        return key, names[str(key)]
     try:
-        if isinstance(key, int) or not spec.header:
-            return row[int(key)]
-        return row[key]
-    except (KeyError, IndexError, ValueError):
-        raise ParseError(f"row {row_no}: missing column {key!r}") from None
+        return key, int(key)
+    except (TypeError, ValueError):  # TypeError: the column is not used (None)
+        return key, None
+
+
+def _cell(row, column, header, row_no):
+    key, pos = column
+    if pos is not None:
+        try:
+            return row[pos]
+        except IndexError:
+            if header:  # as csv.DictReader reads a cell past a short row's end
+                return None
+    raise ParseError(f"row {row_no}: missing column {key!r}")
 
 
 def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
     """Read and validate a delimited file.
 
-    Raises ParseError for malformed rows and ValidationError (with the row
-    number) when a row has a non-finite time or entry >= exit.
+    Each column is resolved once: a header name wins, otherwise an integer
+    (or an integer string) is a 0-based index. Rows are numbered by their
+    line in the file. Raises ParseError for malformed rows and
+    ValidationError (with the row number) when a row has a non-finite time
+    or entry >= exit.
     """
     report = IngestReport(uncensored_mode=spec.event_column is None)
     entry, exit_, event = [], [], []
     try:
         with open(spec.path, newline="") as fh:
-            if spec.header:
-                reader = csv.DictReader(fh, delimiter=spec.delimiter)
-                rows = enumerate(reader, start=2)  # 1 is the header line
-            else:
-                reader = csv.reader(fh, delimiter=spec.delimiter)
-                rows = enumerate(reader, start=1)
-            for row_no, row in rows:
+            reader = csv.reader(fh, delimiter=spec.delimiter)
+            # a repeated header name means its last column, as with csv.DictReader
+            names = {name: i for i, name in enumerate(next(reader, []))} if spec.header else {}
+            entry_col, exit_col, event_col, group_col = (
+                _column(key, names) for key in
+                (spec.entry_column, spec.exit_column, spec.event_column, spec.group_column))
+            for row in reader:
                 if not row:
                     continue
+                row_no = reader.line_num
                 report.n_rows += 1
                 if spec.group_column is not None and spec.group_value is not None:
-                    if str(_cell(row, spec.group_column, spec, row_no)) != spec.group_value:
+                    if str(_cell(row, group_col, spec.header, row_no)) != spec.group_value:
                         continue
                 try:
-                    e = float(_cell(row, spec.entry_column, spec, row_no))
-                    x = float(_cell(row, spec.exit_column, spec, row_no))
+                    e = float(_cell(row, entry_col, spec.header, row_no))
+                    x = float(_cell(row, exit_col, spec.header, row_no))
                 except (TypeError, ValueError):
                     raise ParseError(f"row {row_no}: non-numeric entry/exit value") from None
                 if spec.event_column is None:
                     d = 1
                 else:
-                    raw = str(_cell(row, spec.event_column, spec, row_no)).strip()
+                    raw = str(_cell(row, event_col, spec.header, row_no)).strip()
                     if raw not in ("0", "1"):
                         raise ParseError(f"row {row_no}: event flag must be 0 or 1, got {raw!r}")
                     d = int(raw)

@@ -35,20 +35,6 @@ class Kernel(enum.Enum):
             raise ValueError(f"unknown kernel {name!r}; expected one of: {valid}") from None
 
 
-def eval_sign(s: float, t: float) -> float:
-    """sign(s - t): +1, -1, or 0 on ties."""
-    if s > t:
-        return 1.0
-    if s < t:
-        return -1.0
-    return 0.0
-
-
-def eval_linear(s: float, t: float) -> float:
-    """s - t."""
-    return s - t
-
-
 def rank_transform(values) -> np.ndarray:
     """Midranks of ``values`` scaled to (0, 1].
 
@@ -67,11 +53,6 @@ def rank_transform(values) -> np.ndarray:
         return np.full(n, np.nan)
     s = np.sort(values)
     return (np.searchsorted(s, values, "left") + np.searchsorted(s, values, "right") + 1) / (2 * n)
-
-
-def eval_rank_kernel(ranks: np.ndarray, i: int, j: int) -> float:
-    """Difference of scaled midranks for observations i and j."""
-    return float(ranks[i] - ranks[j])
 
 
 def pair_matrix(kind: Kernel, values: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:

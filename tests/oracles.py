@@ -1,0 +1,89 @@
+"""Brute-force reference implementations that the tests compare against.
+
+None of these is part of the package API: each restates a definition
+pointwise (one pair, one risk set or one event at a time), so it is slow and
+obviously right, and the fast paths in ``qitest`` are checked against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qitest.data import Dataset, Observation
+
+
+def eval_sign(s: float, t: float) -> float:
+    """sign(s - t): +1, -1, or 0 on ties."""
+    if s > t:
+        return 1.0
+    if s < t:
+        return -1.0
+    return 0.0
+
+
+def eval_linear(s: float, t: float) -> float:
+    """s - t."""
+    return s - t
+
+
+def eval_rank_kernel(ranks: np.ndarray, i: int, j: int) -> float:
+    """Difference of scaled midranks for observations i and j."""
+    return float(ranks[i] - ranks[j])
+
+
+def omega_indicator(a: Observation, b: Observation) -> int:
+    """1 iff the two observation windows strictly overlap (truncation-only rule)."""
+    return int(max(a.entry, b.entry) < min(a.exit, b.exit))
+
+
+def lambda_indicator(a: Observation, b: Observation) -> int:
+    """1 iff the windows overlap and the earlier exit is an observed failure."""
+    if not max(a.entry, b.entry) < min(a.exit, b.exit):
+        return 0
+    if a.event and b.event:
+        return 1
+    if a.event and b.exit > a.exit:
+        return 1
+    if b.event and a.exit > b.exit:
+        return 1
+    return 0
+
+
+class RiskSets:
+    """Pointwise risk-set queries over a dataset."""
+
+    def __init__(self, data: Dataset):
+        self._data = data
+
+    def at_risk(self, t: float) -> np.ndarray:
+        """Indices of subjects with entry < t <= exit."""
+        d = self._data
+        return np.flatnonzero((d.entry < t) & (t <= d.exit))
+
+    def size(self, t: float) -> int:
+        return int(self.at_risk(t).size)
+
+    def rank(self, i: int, t: float) -> int:
+        """1 + number of at-risk subjects whose entry strictly exceeds entry_i."""
+        d = self._data
+        at = (d.entry < t) & (t <= d.exit)
+        return 1 + int(np.sum(at & (d.entry > d.entry[i])))
+
+
+def rankstar_score_per_event(data: Dataset) -> float:
+    """The rank-in-risk-set score, one event and one n x n rank matrix at a time.
+
+    Each event contributes Y(T_i) * (R*_i - mean R* over the risk set), with
+    R* the within-risk-set entry rank (counted from above) over the risk-set
+    size; this is R_i(T_i) - (Y(T_i) + 1) / 2 when at-risk entries are
+    distinct. O(events * n^2) time.
+    """
+    at = (data.entry[:, None] < data.exit[None, :]) & (data.exit[None, :] <= data.exit[:, None])
+    total = 0.0
+    for i in np.flatnonzero(data.event == 1):
+        risk = at[:, i]
+        y = int(risk.sum())
+        ranks = 1 + (risk[None, :] & (data.entry[None, :] > data.entry[:, None])).sum(axis=1)
+        rstar = ranks / y
+        total += y * (rstar[i] - rstar[risk].sum() / y)
+    return float(total)

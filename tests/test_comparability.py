@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qitest.comparability import (
-    count_comparable,
-    lambda_indicator,
-    lambda_matrix,
-    omega_indicator,
-    omega_matrix,
-)
+from qitest.comparability import count_comparable, lambda_matrix, omega_matrix
 from qitest.data import Dataset, Observation
+
+from oracles import lambda_indicator, omega_indicator
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 

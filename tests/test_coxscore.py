@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qitest.comparability import lambda_matrix
-from qitest.coxscore import RiskSets, cox_score_covariate, cox_score_rankstar
+from qitest.coxscore import cox_score_covariate, cox_score_rankstar
 from qitest.data import Dataset
 from qitest.errors import DomainError
 from qitest.kernels import Kernel
 from qitest.teststat import u_numerator
+
+from oracles import RiskSets, rankstar_score_per_event
 
 
 def pairwise_covariate_form(data, a):
@@ -89,6 +94,53 @@ class TestRankStarScore:
         s = cox_score_rankstar(data, method="sweep")
         d = cox_score_rankstar(data, method="direct")
         assert s == pytest.approx(d, rel=1e-12, abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([0, 1, 2, None]), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_direct_equals_per_event_oracle(self, n, decimals, censoring, seed):
+        """Rounding to 0-2 decimals ties entries and exits; censoring runs 0-100%."""
+        rng = np.random.default_rng(seed)
+        entry, gap = rng.exponential(1.0, n), rng.exponential(2.0, n)
+        if decimals is not None:
+            entry, gap = np.round(entry, decimals), np.round(gap, decimals) + 10.0**-decimals
+        event = (rng.random(n) >= censoring).astype(int)
+        data = Dataset(entry, entry + gap, event)
+        want = rankstar_score_per_event(data)
+        assert cox_score_rankstar(data, method="direct") == pytest.approx(want, rel=1e-12, abs=1e-10)
+        all_censored = Dataset(entry, entry + gap, np.zeros(n, int))
+        assert cox_score_rankstar(all_censored, method="direct") == 0.0
+
+    def test_sweep_equals_direct_at_month_tied_n_2000(self):
+        """Ages in years rounded to months, about half censored, as in the Channing data."""
+        rng = np.random.default_rng(2000)
+        m = 2400
+        entry = rng.uniform(61.0, 95.0, m)
+        death = entry + rng.exponential(8.0, m)
+        censor = entry + rng.uniform(0.0, 12.0, m)
+        exit_ = np.round(np.minimum(death, censor) * 12.0) / 12.0
+        entry = np.round(entry * 12.0) / 12.0
+        keep = np.flatnonzero(entry < exit_)[:2000]
+        data = Dataset(entry[keep], exit_[keep], (death <= censor)[keep].astype(int))
+        assert data.n == 2000 and 0.3 < data.censored_fraction < 0.7
+        assert data.tie_counts()[0] > 1000 and data.tie_counts()[1] > 1000
+        s = cox_score_rankstar(data, method="sweep")
+        d = cox_score_rankstar(data, method="direct")
+        assert s == pytest.approx(d, rel=1e-12, abs=1e-10)
+
+    def test_direct_peak_memory_within_the_pairwise_covariate_form(self, make_dataset):
+        """cox-check runs both on one file; the pairwise form sets its peak."""
+        data = make_dataset(5000, censored=True)
+        peaks = []
+        for score in (lambda: cox_score_rankstar(data, method="direct"),
+                      lambda: cox_score_covariate(data, lambda x: x, method="pairwise")):
+            tracemalloc.start()
+            try:
+                score()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestRiskSets:

@@ -65,6 +65,20 @@ class TestIngest:
                                        event_column=2, header=False))
         assert data.n == 2
 
+    def test_integer_columns_index_a_header_file(self, tmp_path):
+        path = write(tmp_path, "d.csv", "entry,exit,event\n0,3,1\n1,2,0\n")
+        data, _ = ingest_csv(InputSpec(path=path, entry_column=0, exit_column="1", event_column=2))
+        assert data.entry.tolist() == [0.0, 1.0] and data.event.tolist() == [1, 0]
+        # a header name wins over the same text read as an index
+        path = write(tmp_path, "n.csv", "1,0\n5,9\n6,8\n")
+        data, _ = ingest_csv(InputSpec(path=path, entry_column=1, exit_column=0))
+        assert data.entry.tolist() == [5.0, 6.0] and data.exit.tolist() == [9.0, 8.0]
+
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        path = write(tmp_path, "d.csv", 'entry,exit,note\n0,3,"two\nlines"\n\n\n1,2,\nx,2,\n')
+        with pytest.raises(ParseError, match="^row 7: non-numeric"):
+            ingest_csv(InputSpec(path=path))
+
     def test_group_filter(self, tmp_path):
         path = write(tmp_path, "d.csv",
                      "sex,entry,exit\nM,0,3\nF,1,2\nM,1,4\n")
