@@ -88,7 +88,9 @@ def cox_score_covariate(data: Dataset, a: Callable[[np.ndarray], np.ndarray], me
     """
     if method not in ("sweep", "direct", "pairwise"):
         raise ValueError("method must be 'sweep', 'direct' or 'pairwise'")
-    aval = np.asarray(a(data.entry), dtype=float)
+    # an overflow (np.exp past about 709) is reported by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        aval = np.asarray(a(data.entry), dtype=float)
     if aval.shape != (data.n,):
         raise DomainError(f"the covariate must give one value per subject: "
                           f"expected shape ({data.n},), got {aval.shape}")

@@ -20,6 +20,12 @@ cumulative composite Simpson integral whose coefficients are computed once
 per grid, and the moment tables are the rows of one array, so every node of
 the outer quadrature reads all of them with one index search.
 
+Only four moment rows depend on the covariate transform a(l): those of a,
+a l, a F_L and a C. The tables are therefore built once per entry law and
+set of hazards (an (entry law, censoring) cell of the study grid), and each
+covariate's four rows are loaded into them in place. sigma2(inf) below never
+reads a, so each test's variance is integrated once per set of tables.
+
 The drift and variance of a score test with limiting covariate process z are
 
     mu(inf)     = beta * integral  ybar(u)^2 Cov_u(a(L), z) lambda1(u) du
@@ -208,12 +214,16 @@ class _Simpson:
 
 
 #: the moment table's row of each test's z = l, F_L(l) or C(l); the a z and
-#: z^2 rows follow it (see _moment_tables)
+#: z^2 rows follow it (see _ModelTables.load)
 _FIRST_Z_ROW = {EfficacyTest.LINEAR_SIGN: 2, EfficacyTest.RANK_SIGN: 5, EfficacyTest.SIGN_SIGN: 8}
 
 
 class _ModelTables:
-    """Cumulative-integral tables underlying every efficacy quantity."""
+    """Cumulative-integral tables underlying every efficacy quantity.
+
+    All but the four covariate rows, which ``load`` writes in place, depend
+    on the entry law and the hazards alone, as does each test's sigma2(inf).
+    """
 
     GEOM_POINTS = 9601
     UNIF_POINTS = 200001
@@ -254,7 +264,9 @@ class _ModelTables:
         self._t_grid = tg
         self._B_t = _Simpson(tg)(gamma1(tg))
 
-        self.rows: np.ndarray | None = None  # the moment table, built by _moment_tables
+        self.rows: np.ndarray | None = None  # the moment table, built by load
+        self._covariate = None  # (a_fun, regularize) of the loaded covariate rows
+        self.sigma2: dict[EfficacyTest, float] = {}  # sigma2(inf) by test
 
     # -- construction helpers -------------------------------------------------
 
@@ -289,6 +301,52 @@ class _ModelTables:
             bound *= 2.0
         raise IntegrationFailure("post-entry hazard does not accumulate; cannot bound the time axis")
 
+    # -- the moment table ------------------------------------------------------
+
+    def load(self, model: AlternativeModel, regularize: bool) -> None:
+        """Make the moment table hold ``model``'s covariate rows.
+
+        Row 0 is C; the others integrate v(l) c(l) for v = a, then z, a z,
+        z^2 for each test's z (the rows _FIRST_Z_ROW names). The rows free of
+        a are built on the first load; a load writes rows 1, 3, 6 and 9 in
+        place, one v at a time to hold one temporary at a time.
+        """
+        if self._covariate == (model.a_fun, regularize):
+            return
+        g = self.grid
+        a = np.asarray(model.a_fun(g), dtype=float)
+        if not np.all(np.isfinite(a)) or _decade_divergence(self, a):
+            if not regularize:
+                raise IntegrationFailure(
+                    "covariate transform is not integrable against the at-risk entry "
+                    "density near the support edge; pass regularize=True to truncate "
+                    f"the covariate integrals at {REGULARIZATION_FLOOR:g} of the support"
+                )
+            a = np.where(g >= REGULARIZATION_FLOOR * self.l_max, a, 0.0)
+            a[~np.isfinite(a)] = 0.0
+        f_entry = np.asarray(model.entry.cdf(g), dtype=float)
+        ic = self.Ic
+
+        def put(k, v):
+            self.simpson(v * self.c, out=self.rows[k])
+
+        if self.rows is None:
+            self.rows = np.empty((11, g.size))
+            self.rows[0] = ic
+            put(2, g)
+            put(4, g * g)
+            put(5, f_entry)
+            put(7, f_entry * f_entry)
+            put(8, ic)
+            put(10, ic * ic)
+            self.Ic = ic = self.rows[0]  # keep one copy of C
+        self._covariate = None  # until every covariate row is written
+        put(1, a)
+        put(3, a * g)
+        put(6, a * f_entry)
+        put(9, a * ic)
+        self._covariate = (model.a_fun, regularize)
+
     # -- lookups ---------------------------------------------------------------
 
     def B(self, t) -> np.ndarray:
@@ -322,13 +380,27 @@ def _decade_divergence(tables: _ModelTables, a_vals: np.ndarray) -> bool:
     w = np.abs(a_vals) * tables.c
     total = float(np.trapezoid(w, g)) + 1e-300
     edges = [1e-12 * tables.l_max * 10.0**k for k in range(0, 7)]
-    contrib = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = (g >= lo) & (g < hi)
-        contrib.append(float(np.trapezoid(w[m], g[m])) if m.sum() > 2 else 0.0)
+    # the grid is sorted, so each decade [lo, hi) is one slice of it
+    bounds = g.searchsorted(edges)
+    contrib = [float(np.trapezoid(w[i:j], g[i:j])) if j - i > 2 else 0.0
+               for i, j in zip(bounds[:-1], bounds[1:])]
     # integrable transforms: contributions shrink toward the lowest decades
     lowest = sum(contrib[:3])
     return lowest > 1e-9 * total and contrib[0] > 0.45 * (contrib[2] + 1e-300)
+
+
+#: the model fields a table set is built from, besides the entry law
+_TABLE_HAZARDS = ("lambda0", "lambda1", "alpha1", "psi0", "psi1")
+
+
+def _tables_for(model: AlternativeModel, tables: "_ModelTables | None") -> _ModelTables:
+    """``tables`` once checked to be built for the model's entry law and hazards, or fresh ones."""
+    if tables is None:
+        return _ModelTables(model)
+    built = tables.model
+    if built.entry is not model.entry or any(getattr(built, k) != getattr(model, k) for k in _TABLE_HAZARDS):
+        raise ValueError("the tables were built for a model with another entry law or other hazards")
+    return tables
 
 
 def conditional_entry_density(model: AlternativeModel, t: float, l: float,
@@ -336,7 +408,7 @@ def conditional_entry_density(model: AlternativeModel, t: float, l: float,
     """Density (in l) of entry times among subjects at risk at time t."""
     if t <= 0:
         raise DomainError("the risk-set time t must be positive")
-    tables = _tables if _tables is not None else _ModelTables(model)
+    tables = _tables_for(model, _tables)
     ub = min(t, tables.l_max)
     if l <= 0 or l >= t or l > tables.l_max:
         return 0.0
@@ -368,7 +440,7 @@ def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y, _tables: "_Model
     """
     if t <= 0:
         raise DomainError("the risk-set time t must be positive")
-    tables = _tables if _tables is not None else _ModelTables(model)
+    tables = _tables_for(model, _tables)
     ub = min(t, tables.l_max)
     edges = np.linspace(0.0, ub, 257)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -385,43 +457,6 @@ def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y, _tables: "_Model
     ex = float(np.sum(wts * c * x)) / z
     ey = float(np.sum(wts * c * y)) / z
     return exy - ex * ey
-
-
-def _moment_tables(tables: _ModelTables, model: AlternativeModel, regularize: bool) -> None:
-    g = tables.grid
-    a = np.asarray(model.a_fun(g), dtype=float)
-    if not np.all(np.isfinite(a)) or _decade_divergence(tables, a):
-        if not regularize:
-            raise IntegrationFailure(
-                "covariate transform is not integrable against the at-risk entry "
-                "density near the support edge; pass regularize=True to truncate "
-                f"the covariate integrals at {REGULARIZATION_FLOOR:g} of the support"
-            )
-        a = np.where(g >= REGULARIZATION_FLOOR * tables.l_max, a, 0.0)
-        a[~np.isfinite(a)] = 0.0
-    f_entry = np.asarray(model.entry.cdf(g), dtype=float)
-    ic = tables.Ic
-    # row 0 is C; the others integrate v(l) c(l) for v = a, then z, a z, z^2
-    # for each test's z (the rows _FIRST_Z_ROW names), one v at a time to
-    # hold one temporary at a time
-    rows = np.empty((11, g.size))
-    rows[0] = ic
-
-    def put(k, v):
-        tables.simpson(v * tables.c, out=rows[k])
-
-    put(1, a)
-    put(2, g)
-    put(3, a * g)
-    put(4, g * g)
-    put(5, f_entry)
-    put(6, a * f_entry)
-    put(7, f_entry * f_entry)
-    put(8, ic)
-    put(9, a * ic)
-    put(10, ic * ic)
-    tables.rows = rows
-    tables.Ic = rows[0]  # keep one copy of C
 
 
 def _node_moments(tables: _ModelTables, test: EfficacyTest, ub: float) -> tuple[float, float, float]:
@@ -449,9 +484,8 @@ def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
     from scipy.integrate import quad  # imported here: ``import qitest`` stays free of SciPy
 
     test = EfficacyTest.parse(test_id)
-    tables = _tables if _tables is not None else _ModelTables(model)
-    if tables.rows is None:
-        _moment_tables(tables, model, regularize)
+    tables = _tables_for(model, _tables)
+    tables.load(model, regularize)
 
     def mu_integrand(u):
         cu, cov, _ = _node_moments(tables, test, min(u, tables.l_max))
@@ -467,8 +501,11 @@ def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
     try:
         mu = quad(mu_integrand, 0.0, tables.l_max, **opts)[0]
         mu += quad(mu_integrand, tables.l_max, tables.t_max, **opts)[0]
-        s2 = quad(s2_integrand, 0.0, tables.l_max, **opts)[0]
-        s2 += quad(s2_integrand, tables.l_max, tables.t_max, **opts)[0]
+        s2 = tables.sigma2.get(test)
+        if s2 is None:
+            s2 = quad(s2_integrand, 0.0, tables.l_max, **opts)[0]
+            s2 += quad(s2_integrand, tables.l_max, tables.t_max, **opts)[0]
+            tables.sigma2[test] = s2
     except Exception as exc:  # pragma: no cover - quad failures are rare
         raise IntegrationFailure(f"outer efficacy integral failed: {exc}") from exc
     if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
@@ -500,38 +537,45 @@ def are_table(regularize: bool = True) -> list[dict]:
     Returns one row per (model, entry law, censoring column, comparison test)
     with the ratio taken against the sign/sign member. The reciprocal model
     needs ``regularize=True`` to produce finite values.
+
+    The two models of an (entry law, censoring) cell differ only in the
+    covariate transform, so each distinct cell builds one set of tables:
+    both models load their covariate rows into it in turn and share its
+    variances, and it is freed before the next cell's set is built.
     """
-    rows = []
     entries = {"exponential": exponential_entry(2.0), "uniform": uniform_entry()}
-    for model_name, factory in (("linear-covariate", model_linear_risk),
-                                ("reciprocal-covariate", model_reciprocal_risk)):
-        for entry_name, columns in STUDY_COLUMNS.items():
-            cells = {}
-            for psi0, psi1 in columns:
-                if (psi0, psi1) not in cells:  # a repeated column is computed once
-                    model = factory(entries[entry_name], psi0=psi0, psi1=psi1)
-                    cells[psi0, psi1] = _ratios_vs_sign(model, regularize)
-                for test, eff, ratio in cells[psi0, psi1]:
-                    rows.append({
-                        "model": model_name,
-                        "entry": entry_name,
-                        "psi0": psi0,
-                        "psi1": psi1,
-                        "g_kernel": test.value,
-                        "h_kernel": "sign",
-                        "efficacy": eff,
-                        "are_vs_sign_sign": ratio,
-                    })
-    return rows
+    factories = {"linear-covariate": model_linear_risk, "reciprocal-covariate": model_reciprocal_risk}
+    cells = {}
+    for entry_name, columns in STUDY_COLUMNS.items():
+        for psi0, psi1 in dict.fromkeys(columns):  # a repeated column is computed once
+            models = {name: factory(entries[entry_name], psi0=psi0, psi1=psi1)
+                      for name, factory in factories.items()}
+            tables = _ModelTables(models["linear-covariate"])
+            for name, model in models.items():
+                cells[name, entry_name, psi0, psi1] = _ratios_vs_sign(model, regularize, tables)
+            del tables  # building the next set while this one lives raises the peak memory
+    return [
+        {
+            "model": model_name,
+            "entry": entry_name,
+            "psi0": psi0,
+            "psi1": psi1,
+            "g_kernel": test.value,
+            "h_kernel": "sign",
+            "efficacy": eff,
+            "are_vs_sign_sign": ratio,
+        }
+        for model_name in factories
+        for entry_name, columns in STUDY_COLUMNS.items()
+        for psi0, psi1 in columns
+        for test, eff, ratio in cells[model_name, entry_name, psi0, psi1]
+    ]
 
 
-def _ratios_vs_sign(model: AlternativeModel, regularize: bool) -> list[tuple[EfficacyTest, float, float]]:
-    """(test, efficacy, ratio to sign/sign) for the rank and linear members.
-
-    The model's tables are local, so they are freed before the caller builds
-    the next model's.
-    """
-    tables = _ModelTables(model)
+def _ratios_vs_sign(model: AlternativeModel, regularize: bool,
+                    _tables: "_ModelTables | None" = None) -> list[tuple[EfficacyTest, float, float]]:
+    """(test, efficacy, ratio to sign/sign) for the rank and linear members."""
+    tables = _tables_for(model, _tables)
     base = efficacy(model, EfficacyTest.SIGN_SIGN, regularize=regularize, _tables=tables)
     out = []
     for test in (EfficacyTest.RANK_SIGN, EfficacyTest.LINEAR_SIGN):

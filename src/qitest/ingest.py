@@ -52,15 +52,12 @@ def _column(key, names: dict) -> tuple:
         return key, None
 
 
-def _cell(row, column, header, row_no):
+def _cell(row, column, row_no):
     key, pos = column
-    if pos is not None:
-        try:
-            return row[pos]
-        except IndexError:
-            if header:  # as csv.DictReader reads a cell past a short row's end
-                return None
-    raise ParseError(f"row {row_no}: missing column {key!r}")
+    try:
+        return row[pos]
+    except (IndexError, TypeError):  # TypeError: no such header name (None)
+        raise ParseError(f"row {row_no}: missing column {key!r}") from None
 
 
 def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
@@ -88,17 +85,17 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
                 row_no = reader.line_num
                 report.n_rows += 1
                 if spec.group_column is not None and spec.group_value is not None:
-                    if str(_cell(row, group_col, spec.header, row_no)) != spec.group_value:
+                    if _cell(row, group_col, row_no) != spec.group_value:
                         continue
                 try:
-                    e = float(_cell(row, entry_col, spec.header, row_no))
-                    x = float(_cell(row, exit_col, spec.header, row_no))
-                except (TypeError, ValueError):
+                    e = float(_cell(row, entry_col, row_no))
+                    x = float(_cell(row, exit_col, row_no))
+                except ValueError:
                     raise ParseError(f"row {row_no}: non-numeric entry/exit value") from None
                 if spec.event_column is None:
                     d = 1
                 else:
-                    raw = str(_cell(row, event_col, spec.header, row_no)).strip()
+                    raw = _cell(row, event_col, row_no).strip()
                     if raw not in ("0", "1"):
                         raise ParseError(f"row {row_no}: event flag must be 0 or 1, got {raw!r}")
                     d = int(raw)

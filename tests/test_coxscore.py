@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestCovariateScore:
     def test_bad_covariate_values_raise(self, toy_censored, a, method):
         with pytest.raises(DomainError, match="covariate"):
             cox_score_covariate(toy_censored, a, method=method)
+
+    @pytest.mark.parametrize("method", ["sweep", "direct", "pairwise"])
+    def test_overflowing_covariate_raises_without_a_warning(self, method):
+        # np.exp overflows past about 709, e.g. on ages in months
+        data = Dataset(np.array([500.0, 700.0, 800.0]), np.array([900.0, 950.0, 1000.0]), np.array([1, 0, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                cox_score_covariate(data, np.exp, method=method)
 
 
 class TestRankStarScore:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from qitest.efficacy import (
     AlternativeModel,
     EfficacyTest,
     _ModelTables,
-    _moment_tables,
     _node_moments,
     _ratios_vs_sign,
     _Simpson,
+    are_table,
     conditional_entry_density,
     efficacy,
     exponential_entry,
@@ -41,8 +42,22 @@ def exp_tables(exp_model):
 @pytest.fixture(scope="module")
 def exp_moment_tables(exp_model):
     tables = _ModelTables(exp_model)
-    _moment_tables(tables, exp_model, regularize=False)
+    tables.load(exp_model, regularize=False)
     return tables
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The models _ModelTables is built for, in order, while the test runs."""
+    built = []
+    init = _ModelTables.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(_ModelTables, "__init__", counting_init)
+    return built
 
 
 def bits(a):
@@ -212,17 +227,9 @@ class TestEfficacy:
             assert var == pytest.approx(1 / 12, rel=1e-5)
         assert res.sigma2_inf > 0
 
-    def test_pitman_are_builds_tables_once(self, monkeypatch):
-        built = []
-        init = _ModelTables.__init__
-
-        def counting_init(self, model):
-            built.append(model)
-            init(self, model)
-
-        monkeypatch.setattr(_ModelTables, "__init__", counting_init)
+    def test_pitman_are_builds_tables_once(self, built_tables):
         pitman_are(model_linear_risk(exponential_entry(2.0), 0.0, 1.0), "linear", "sign")
-        assert len(built) == 1
+        assert len(built_tables) == 1
 
     def test_divergent_covariate_raises_without_regularization(self):
         model = model_reciprocal_risk(exponential_entry(2.0), 0.0, 1.0)
@@ -241,6 +248,75 @@ class TestEfficacy:
         assert pitman_are(model, "linear", "sign") == pytest.approx(1.800, rel=0.05)
         model11 = model_linear_risk(exponential_entry(2.0), 1.0, 1.0)
         assert pitman_are(model11, "rank", "sign") == pytest.approx(1.325, rel=0.05)
+
+
+STUDY_MODELS = {"linear-covariate": model_linear_risk, "reciprocal-covariate": model_reciprocal_risk}
+
+
+@pytest.fixture(scope="module")
+def fresh_cells():
+    """Every test's result for each of the 10 distinct study models, each on tables of its own."""
+    entries = {"exponential": exponential_entry(2.0), "uniform": uniform_entry()}
+    cells = {}
+    for model_name, factory in STUDY_MODELS.items():
+        for entry_name, columns in STUDY_COLUMNS.items():
+            for psi0, psi1 in dict.fromkeys(columns):
+                model = factory(entries[entry_name], psi0, psi1)
+                tables = _ModelTables(model)
+                cells[model_name, entry_name, psi0, psi1] = {
+                    test: efficacy(model, test, regularize=True, _tables=tables) for test in EfficacyTest}
+    return cells
+
+
+class TestSharedTables:
+    """One table set per (entry law, censoring) cell, shared by both covariate models."""
+
+    def test_are_table_equals_fresh_tables_per_model(self, fresh_cells, built_tables):
+        rows = are_table()
+        assert len(built_tables) == 5
+        want = []
+        for model_name in STUDY_MODELS:
+            for entry_name, columns in STUDY_COLUMNS.items():
+                for psi0, psi1 in columns:
+                    res = fresh_cells[model_name, entry_name, psi0, psi1]
+                    base = res[EfficacyTest.SIGN_SIGN].efficacy
+                    for test in (EfficacyTest.RANK_SIGN, EfficacyTest.LINEAR_SIGN):
+                        eff = res[test].efficacy
+                        want.append({"model": model_name, "entry": entry_name, "psi0": psi0, "psi1": psi1,
+                                     "g_kernel": test.value, "h_kernel": "sign",
+                                     "efficacy": eff, "are_vs_sign_sign": eff / base})
+        assert len(rows) == 24
+        for got, exp in zip(rows, want):
+            assert got == exp
+
+    def test_variance_does_not_read_the_covariate(self, fresh_cells):
+        # the reason one sigma2(inf) per test serves both models of a cell
+        for (model_name, *cell), res in fresh_cells.items():
+            if model_name == "linear-covariate":
+                other = fresh_cells[("reciprocal-covariate", *cell)]
+                for test in EfficacyTest:
+                    assert res[test].sigma2_inf == other[test].sigma2_inf, (cell, test)
+
+    @pytest.mark.parametrize("change", [
+        dict(entry=exponential_entry(2.0)),  # an equal law, but another object
+        dict(lambda0=0.31), dict(lambda1=0.31), dict(alpha1=1.1), dict(psi0=0.1), dict(psi1=1.1),
+    ], ids=lambda change: next(iter(change)))
+    def test_tables_of_another_model_are_refused(self, change):
+        model = model_linear_risk(exponential_entry(2.0), 0.0, 1.0)
+        tables = _ModelTables(model)
+        with pytest.raises(ValueError, match="built for a model"):
+            efficacy(dataclasses.replace(model, **change), "linear", _tables=tables)
+
+    def test_reloading_a_covariate_restores_its_result(self):
+        entry = exponential_entry(2.0)
+        linear, reciprocal = model_linear_risk(entry, 0.0, 1.0), model_reciprocal_risk(entry, 0.0, 1.0)
+        tables = _ModelTables(linear)
+        first = efficacy(linear, "rank", _tables=tables)
+        assert efficacy(reciprocal, "rank", regularize=True, _tables=tables).mu_inf != first.mu_inf
+        with pytest.raises(IntegrationFailure, match="not integrable"):
+            efficacy(reciprocal, "rank", _tables=tables)  # loaded regularized, asked unregularized
+        assert efficacy(linear, "rank", _tables=tables) == first
+        assert efficacy(linear, "rank") == first
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

@@ -50,6 +50,18 @@ class TestIngest:
         with pytest.raises(ParseError, match="entry"):
             ingest_csv(InputSpec(path=path))
 
+    @pytest.mark.parametrize("text,header,want", [
+        ("entry,exit,event\n0,3,1\n1,2\n", True, "row 3: missing column 'event'"),
+        ("entry,exit,event\n0,3,1\n1\n", True, "row 3: missing column 'exit'"),
+        ("0,3,1\n1,2\n", False, "row 2: missing column 2"),
+    ], ids=["header-event", "header-exit", "headerless"])
+    def test_short_row_names_the_missing_column(self, tmp_path, text, header, want):
+        # with or without a header, a cell past a short row's end is missing
+        path = write(tmp_path, "d.csv", text)
+        columns = dict(event_column="event") if header else dict(entry_column=0, exit_column=1, event_column=2)
+        with pytest.raises(ParseError, match=f"^{want}$"):
+            ingest_csv(InputSpec(path=path, header=header, **columns))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             ingest_csv(InputSpec(path=str(tmp_path / "nope.csv")))
