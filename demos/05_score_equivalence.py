@@ -43,6 +43,9 @@ print("rank-in-risk-set covariate:")
 print(f"  risk-set score          {score:12.6f}")
 print(f"  half the sign/sign sum  {half_pair:12.6f}")
 print()
-print("Both evaluation strategies agree to floating-point accuracy: the")
-print("incremental sweep is O(n log n), the direct risk-set scan is the")
-print("definitional oracle (pass method='direct' to use it).")
+print("Each pair of forms agrees to floating-point accuracy. Both covariate")
+print("forms sum a_i - a_j over failures i and partners j with L_j < T_i and")
+print("are counted by binary search in O(n log n); they differ only in ties:")
+print("the risk-set score keeps partners with T_j >= T_i, the pairwise form")
+print("T_j > T_i. The direct risk-set scan is the definitional oracle (pass")
+print("method='direct' to use it).")

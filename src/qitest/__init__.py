@@ -55,7 +55,6 @@ from .teststat import (
     chi2_sf1,
     chi_square_test,
     kappa_hat,
-    phi_hat_bruteforce,
     phi_hat_fast,
     quasi_independence_test,
     reverse_roles,
@@ -106,7 +105,6 @@ __all__ = [
     "model_linear_risk",
     "model_reciprocal_risk",
     "omega_matrix",
-    "phi_hat_bruteforce",
     "phi_hat_fast",
     "pitman_are",
     "quasi_independence_test",

@@ -29,8 +29,27 @@ from .teststat import (STANDARD_PAIRS, quasi_independence_test, reverse_roles, r
                        u_numerator)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QITEST_SEED", "20240001"))
+def _env_seed(parser: argparse.ArgumentParser) -> int:
+    """The ``simulate`` seed when ``--seed`` is not given: QITEST_SEED, else 20240001."""
+    text = os.environ.get("QITEST_SEED", "20240001")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"QITEST_SEED must be an integer, got {text!r}")
+
+
+def _checked(kind, ok, rule: str):
+    """argparse type: ``kind(text)``, a usage error unless the value satisfies ``ok``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    return parse
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -201,13 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="replicated level/power experiment")
     s.add_argument("--scenario", type=str.lower, choices=[f.value for f in ScenarioFamily],
                    default="exp-null", help="generative scenario")
-    s.add_argument("--n", type=int, default=400, help="post-truncation sample size")
-    s.add_argument("--reps", type=int, default=1000)
-    s.add_argument("--level", type=float, default=0.05)
-    s.add_argument("--censoring", type=float, default=0.0,
+    at_least_one = _checked(int, lambda v: v >= 1, "must be at least 1")
+    s.add_argument("--n", type=at_least_one, default=400, help="post-truncation sample size")
+    s.add_argument("--reps", type=at_least_one, default=1000)
+    s.add_argument("--level", default=0.05,
+                   type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"))
+    s.add_argument("--censoring", default=0.0,
+                   type=_checked(float, lambda v: 0.0 <= v < 1.0, "must be 0 or lie in (0, 1)"),
                    help="target censored fraction in (0,1); 0 disables censoring")
-    s.add_argument("--seed", type=int, default=_default_seed())
-    s.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    s.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: $QITEST_SEED, else 20240001)")
+    s.add_argument("--threads", type=at_least_one, default=os.cpu_count() or 1)
     s.add_argument("--format", choices=("table", "json", "csv"), default="table")
     s.set_defaults(func=_cmd_simulate)
 
@@ -233,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate" and args.seed is None:
+        args.seed = _env_seed(parser)
     try:
         args.func(args)
     except QITestError as exc:

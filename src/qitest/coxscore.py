@@ -16,8 +16,14 @@ identity is exact when no two exits are tied, the rank identity when no two
 entries and no two exits are tied: a tied pair can meet the risk-set
 definition while sign(0) = 0 drops it from the pairwise form, so under ties
 the forms differ. The direct risk-set evaluation (``method="direct"``) is
-the definitional oracle, while ``method="sweep"`` maintains the risk set
-incrementally in O(n log n).
+the definitional oracle.
+
+Both covariate forms are one double sum, over failures i and partners j
+with L_j < T_i, of a_i - a_j: the risk-set score keeps partners whose exit
+ties T_i (T_j >= T_i), the pairwise form drops them (T_j > T_i).
+``method="sweep"`` and ``method="pairwise"`` count it per subject by binary
+search in O(n log n) time and O(n) memory; the rank score's
+``method="sweep"`` maintains the risk set incrementally in O(n log n).
 
 The direct forms cost O(n^2) time and memory: each builds the risk-set
 matrix "j is at risk at T_i", L_j < T_i <= T_j, once over subjects j and
@@ -36,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 
-from .comparability import lambda_matrix
 from .data import Dataset
 from .errors import DomainError
 
@@ -69,22 +74,32 @@ def _rankstar_direct(data: Dataset) -> float:
     return float(np.sum(r - (y + p) / y))
 
 
-def _sweep_order(data: Dataset):
-    """Sort orders shared by the incremental sweeps."""
-    n = data.n
-    by_exit = np.argsort(data.exit, kind="stable")
-    by_entry = np.argsort(data.entry, kind="stable")
-    return n, by_exit, by_entry
+def _score_by_counting(data: Dataset, a: np.ndarray, keep_tied_exits: bool) -> float:
+    """sum_j a_j (d_j Y_j - E_j), counted by binary search over sorted times.
+
+    With ``keep_tied_exits`` (the risk-set score) Y_j = #{L_k < T_j} -
+    #{T_k < T_j} and E_j = #{failures f : L_j < f <= T_j}; without it (the
+    pairwise form) partners and failures tied with T_j drop out: T_k <= T_j
+    is subtracted and f < T_j counted. The coefficients are exact integers.
+    """
+    fail = np.sort(data.exit[data.event == 1])
+    gone, upto = ("left", "right") if keep_tied_exits else ("right", "left")
+    y = (np.searchsorted(np.sort(data.entry), data.exit)
+         - np.searchsorted(np.sort(data.exit), data.exit, gone))
+    e = np.searchsorted(fail, data.exit, upto) - np.searchsorted(fail, data.entry, "right")
+    return float(a @ (data.event * y - e))
 
 
 def cox_score_covariate(data: Dataset, a: Callable[[np.ndarray], np.ndarray], method: str = "sweep") -> float:
     """Score statistic with covariate a(entry) and risk-set-size weight.
 
     ``a`` maps an array of entry times to covariate values. ``method`` is
-    ``"sweep"``, ``"direct"`` or ``"pairwise"``, the O(n^2) comparable-pair
-    form -1/2 sum_ij (a_i - a_j) sign(T_i - T_j) lambda_ij, which equals the
-    score when no two exits are tied. ``a`` must give one finite value per
-    subject; anything else raises ``DomainError``.
+    ``"sweep"`` (the risk-set score by counting, O(n log n)), ``"direct"``
+    (the definitional risk-set scan, O(n^2)) or ``"pairwise"``, the
+    comparable-pair form -1/2 sum_ij (a_i - a_j) sign(T_i - T_j) lambda_ij,
+    also counted in O(n log n); it equals the score when no two exits are
+    tied. ``a`` must give one finite value per subject; anything else raises
+    ``DomainError``.
     """
     if method not in ("sweep", "direct", "pairwise"):
         raise ValueError("method must be 'sweep', 'direct' or 'pairwise'")
@@ -98,45 +113,7 @@ def cox_score_covariate(data: Dataset, a: Callable[[np.ndarray], np.ndarray], me
         raise DomainError("the covariate gave a non-finite value")
     if method == "direct":
         return _score_direct(data, aval)
-    if method == "pairwise":
-        sgn = np.sign(np.subtract.outer(data.exit, data.exit))
-        return -0.5 * float(np.sum(np.subtract.outer(aval, aval) * sgn * lambda_matrix(data)))
-    n, by_exit, by_entry = _sweep_order(data)
-    entry_sorted = data.entry[by_entry]
-    exit_sorted = data.exit[by_exit]
-
-    in_riskset = np.zeros(n, dtype=bool)
-    s_sum = 0.0  # running sum of a(entry) over the risk set
-    y = 0
-    ei = 0  # next candidate to enter (by entry order)
-    xi = 0  # next candidate to leave (by exit order)
-    total = 0.0
-    k = 0
-    while k < n:
-        t = exit_sorted[k]
-        # admit subjects with entry < t, retire subjects with exit < t
-        while ei < n and entry_sorted[ei] < t:
-            j = by_entry[ei]
-            in_riskset[j] = True
-            s_sum += aval[j]
-            y += 1
-            ei += 1
-        while xi < n and data.exit[by_exit[xi]] < t:
-            j = by_exit[xi]
-            if in_riskset[j]:
-                in_riskset[j] = False
-                s_sum -= aval[j]
-                y -= 1
-            xi += 1
-        # all events tied at this exit time see the same risk set
-        kk = k
-        while kk < n and data.exit[by_exit[kk]] == t:
-            i = by_exit[kk]
-            if data.event[i] == 1:
-                total += y * aval[i] - s_sum
-            kk += 1
-        k = kk
-    return float(total)
+    return _score_by_counting(data, aval, keep_tied_exits=method == "sweep")
 
 
 class _Fenwick:
@@ -177,7 +154,9 @@ def cox_score_rankstar(data: Dataset, method: str = "sweep") -> float:
         return _rankstar_direct(data)
     if method != "sweep":
         raise ValueError("method must be 'sweep' or 'direct'")
-    n, by_exit, by_entry = _sweep_order(data)
+    n = data.n
+    by_exit = np.argsort(data.exit, kind="stable")
+    by_entry = np.argsort(data.entry, kind="stable")
     entry_sorted = data.entry[by_entry]
     exit_sorted = data.exit[by_exit]
     # dense 1-based positions over distinct entry values, so strict

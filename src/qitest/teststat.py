@@ -9,9 +9,9 @@ a chi-square distribution with one degree of freedom.
 Every test reduces the per-subject row sums of ``rowsums.row_sums``, computed
 in O(n log n) time and O(n) memory without any n-by-n array; the Monte Carlo
 harness tests a block of datasets with one call (``_grid_block``). The dense
-``pair_products`` and the O(n^3) ``phi_hat_bruteforce`` are the definitional
-forms, kept as testing oracles. All accumulations are numpy reductions over
-arrays of fixed shape, so results are bit-reproducible for a given dataset.
+``pair_products`` is the definitional form, kept as a testing oracle. All
+accumulations are numpy reductions over arrays of fixed shape, so results
+are bit-reproducible for a given dataset.
 """
 
 from __future__ import annotations
@@ -112,25 +112,6 @@ def phi_hat_fast(data: Dataset, g, h, censored_mode: bool = False) -> float:
     if n < 3:
         raise DegenerateDataset("variance estimation needs at least three observations")
     return _one_pair(data, g, h, censored_mode)[2] / (n * (n - 1) * (n - 2))
-
-
-def phi_hat_bruteforce(data: Dataset, g, h, censored_mode: bool = False) -> float:
-    """Direct enumeration of a_ij a_ik over ordered triples (testing oracle).
-
-    Materializes the full triple product tensor and masks the excluded index
-    patterns, so it shares no algebra with the row-sum path. O(n^3) memory;
-    intended for small n.
-    """
-    if data.n < 3:
-        raise DegenerateDataset("variance estimation needs at least three observations")
-    a = pair_products(data, g, h, censored_mode)
-    n = a.shape[0]
-    t = a[:, :, None] * a[:, None, :]  # t[i, j, k] = a_ij a_ik
-    idx = np.arange(n)
-    t[idx, idx, :] = 0.0  # j == i
-    t[idx, :, idx] = 0.0  # k == i
-    t[:, idx, idx] = 0.0  # j == k
-    return float(t.sum()) / (n * (n - 1) * (n - 2))
 
 
 def chi2_sf1(x: float) -> float:

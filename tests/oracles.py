@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from qitest.comparability import lambda_matrix
 from qitest.data import Dataset, Observation
+from qitest.errors import DegenerateDataset
+from qitest.teststat import pair_products
 
 
 def eval_sign(s: float, t: float) -> float:
@@ -87,3 +90,33 @@ def rankstar_score_per_event(data: Dataset) -> float:
         rstar = ranks / y
         total += y * (rstar[i] - rstar[risk].sum() / y)
     return float(total)
+
+
+def covariate_score_pairwise(data: Dataset, a) -> float:
+    """-1/2 sum_ij (a_i - a_j) sign(T_i - T_j) lambda_ij over the dense n x n matrices.
+
+    The covariate score's comparable-pair form; it equals the risk-set score
+    when no two exits are tied. O(n^2) memory.
+    """
+    av = a(data.entry)
+    sgn = np.sign(np.subtract.outer(data.exit, data.exit))
+    return -0.5 * float(np.sum(np.subtract.outer(av, av) * sgn * lambda_matrix(data)))
+
+
+def phi_hat_bruteforce(data: Dataset, g, h, censored_mode: bool = False) -> float:
+    """Direct enumeration of a_ij a_ik over ordered triples.
+
+    Materializes the full triple product tensor and masks the excluded index
+    patterns, so it shares no algebra with the row-sum path. O(n^3) memory;
+    intended for small n.
+    """
+    if data.n < 3:
+        raise DegenerateDataset("variance estimation needs at least three observations")
+    a = pair_products(data, g, h, censored_mode)
+    n = a.shape[0]
+    t = a[:, :, None] * a[:, None, :]  # t[i, j, k] = a_ij a_ik
+    idx = np.arange(n)
+    t[idx, idx, :] = 0.0  # j == i
+    t[idx, :, idx] = 0.0  # k == i
+    t[:, idx, idx] = 0.0  # j == k
+    return float(t.sum()) / (n * (n - 1) * (n - 2))

@@ -24,13 +24,14 @@ from qitest.simulate import SimScenario, run_experiment
 from qitest.teststat import (
     STANDARD_PAIRS,
     chi2_sf1,
-    phi_hat_bruteforce,
     phi_hat_fast,
     quasi_independence_test,
     reverse_roles,
     run_test_grid,
     u_numerator,
 )
+
+from oracles import covariate_score_pairwise, phi_hat_bruteforce
 
 ACCEPT_SEED = 20250808
 N_JOBS = min(2, os.cpu_count() or 1)
@@ -87,11 +88,9 @@ def test_criterion_2_cox_equivalences():
     for k in range(100):
         n = int(rng.integers(5, 201))
         data = random_censored(rng, n)
-        lam = lambda_matrix(data)
-        sgn = np.sign(np.subtract.outer(data.exit, data.exit))
         for name, a in transforms.items():
             score = cox_score_covariate(data, a)
-            pairwise = -0.5 * float(np.sum(np.subtract.outer(a(data.entry), a(data.entry)) * sgn * lam))
+            pairwise = covariate_score_pairwise(data, a)
             scale = max(1.0, abs(pairwise))
             assert abs(score - pairwise) <= 1e-10 * scale, f"{name}, n={n}"
         rank_score = cox_score_rankstar(data)

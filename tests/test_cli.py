@@ -138,6 +138,35 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["seeds"] == [123]
 
+    @pytest.mark.parametrize("flag", [["--reps", "0"], ["--censoring", "1.5"], ["--censoring", "-0.5"],
+                                      ["--level", "-1"], ["--threads", "0"], ["--n", "0"]],
+                             ids=lambda flag: " ".join(flag))
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, flag):
+        # a small valid run, so a flag that is not rejected finishes quickly
+        argv = ["simulate", "--n", "30", "--reps", "2", "--threads", "1"] + flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"qitest simulate: error: argument {flag[0]}: ")
+
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QITEST_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "30", "--reps", "2", "--threads", "1"])
+        assert exc.value.code == 2
+        assert "error: QITEST_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        code, out = run(capsys, ["simulate", "--n", "30", "--reps", "2", "--threads", "1",
+                                 "--seed", "5", "--format", "json"])
+        assert code == 0 and json.loads(out)["seeds"] == [5]
+
+    def test_bad_env_seed_is_ignored_by_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("QITEST_SEED", "abc")
+        code, out = run(capsys, ["channing", "--group", "men", "--format", "csv"])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 9
+
 
 class TestAreCommand:
     def test_table(self, capsys):

@@ -5,21 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qitest.comparability import lambda_matrix
 from qitest.coxscore import cox_score_covariate, cox_score_rankstar
 from qitest.data import Dataset
 from qitest.errors import DomainError
 from qitest.kernels import Kernel
 from qitest.teststat import u_numerator
 
-from oracles import RiskSets, rankstar_score_per_event
+from oracles import RiskSets, covariate_score_pairwise, rankstar_score_per_event
+
+TRANSFORMS = {"identity": lambda x: x, "exp": np.exp, "cube": lambda x: x**3}
 
 
-def pairwise_covariate_form(data, a):
-    lam = lambda_matrix(data)
-    diff = np.subtract.outer(a(data.entry), a(data.entry))
-    sgn = np.sign(np.subtract.outer(data.exit, data.exit))
-    return -0.5 * float(np.sum(diff * sgn * lam))
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCovariateScore:
@@ -41,7 +44,7 @@ class TestCovariateScore:
         for _ in range(5):
             data = make_dataset(60, censored=True)
             score = cox_score_covariate(data, a)
-            expected = pairwise_covariate_form(data, a)
+            expected = covariate_score_pairwise(data, a)
             assert score == pytest.approx(expected, rel=1e-12, abs=1e-10)
             pairwise = cox_score_covariate(data, a, method="pairwise")
             assert pairwise == pytest.approx(expected, rel=1e-12, abs=1e-10)
@@ -52,6 +55,31 @@ class TestCovariateScore:
             s = cox_score_covariate(data, np.exp, method="sweep")
             d = cox_score_covariate(data, np.exp, method="direct")
             assert s == pytest.approx(d, rel=1e-12, abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([0, 1, 2, None]), st.floats(0.0, 1.0),
+           st.sampled_from(sorted(TRANSFORMS)), st.integers(0, 2**32 - 1))
+    def test_counting_forms_equal_their_oracles(self, n, decimals, censoring, transform, seed):
+        """Rounding to 0-2 decimals ties entries and exits; censoring runs 0-100%."""
+        rng = np.random.default_rng(seed)
+        entry, gap = rng.exponential(1.0, n), rng.exponential(2.0, n)
+        if decimals is not None:
+            entry, gap = np.round(entry, decimals), np.round(gap, decimals) + 10.0**-decimals
+        event = (rng.random(n) >= censoring).astype(int)
+        data = Dataset(entry, entry + gap, event)
+        a = TRANSFORMS[transform]
+        direct = cox_score_covariate(data, a, method="direct")
+        assert cox_score_covariate(data, a, method="sweep") == pytest.approx(direct, rel=1e-12, abs=1e-10)
+        pairwise = covariate_score_pairwise(data, a)
+        assert cox_score_covariate(data, a, method="pairwise") == pytest.approx(pairwise, rel=1e-12, abs=1e-10)
+        all_censored = Dataset(entry, entry + gap, np.zeros(n, int))
+        assert cox_score_covariate(all_censored, a, method="sweep") == 0.0
+        assert cox_score_covariate(all_censored, a, method="pairwise") == 0.0
+
+    @pytest.mark.parametrize("method", ["sweep", "pairwise"])
+    def test_counting_forms_peak_below_n_squared_bytes(self, make_dataset, method):
+        data = make_dataset(5000, censored=True, round_to=2)
+        assert peak_bytes(lambda: cox_score_covariate(data, np.exp, method=method)) < data.n**2
 
     def test_equal_entries_zero_score(self, rng):
         exits = 1.0 + rng.exponential(1.0, 20)
@@ -138,19 +166,12 @@ class TestRankStarScore:
         d = cox_score_rankstar(data, method="direct")
         assert s == pytest.approx(d, rel=1e-12, abs=1e-10)
 
-    def test_direct_peak_memory_within_the_pairwise_covariate_form(self, make_dataset):
-        """cox-check runs both on one file; the pairwise form sets its peak."""
+    def test_direct_peak_memory_within_the_covariate_direct_form(self, make_dataset):
+        """cox-check runs both direct forms on one file; the covariate's sets its peak."""
         data = make_dataset(5000, censored=True)
-        peaks = []
-        for score in (lambda: cox_score_rankstar(data, method="direct"),
-                      lambda: cox_score_covariate(data, lambda x: x, method="pairwise")):
-            tracemalloc.start()
-            try:
-                score()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= peaks[1]
+        rank = peak_bytes(lambda: cox_score_rankstar(data, method="direct"))
+        covariate = peak_bytes(lambda: cox_score_covariate(data, lambda x: x, method="direct"))
+        assert rank <= covariate
 
 
 class TestRiskSets:
