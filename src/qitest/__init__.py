@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     GenerationStall,
     IntegrationFailure,
+    IntegrationWarning,
     ParseError,
     QITestError,
     ValidationError,
@@ -78,6 +79,7 @@ __all__ = [
     "IngestReport",
     "InputSpec",
     "IntegrationFailure",
+    "IntegrationWarning",
     "Kernel",
     "Observation",
     "ParseError",

@@ -17,8 +17,10 @@ integral of c. Every at-risk moment needed below is a cumulative integral of
 a fixed function evaluated at min(t, l_max), which keeps the whole
 computation a family of one-dimensional quadratures. Each table is a
 cumulative composite Simpson integral whose coefficients are computed once
-per grid, and the moment tables are the rows of one array, so every node of
-the outer quadrature reads all of them with one index search.
+per grid, and the moment tables are the rows of one array, so the nodes of
+the outer quadrature read all of them with one index search. The outer
+integrals are adaptive 21-point Gauss-Kronrod rules that evaluate every node
+of a round in one call.
 
 Only four moment rows depend on the covariate transform a(l): those of a,
 a l, a F_L and a C. The tables are therefore built once per entry law and
@@ -50,13 +52,14 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, IntegrationFailure
+from .errors import DomainError, IntegrationFailure, IntegrationWarning
 
 HazardLike = "float | Callable[[np.ndarray], np.ndarray]"
 
@@ -164,14 +167,7 @@ def _as_fun(h: "HazardLike") -> Callable[[np.ndarray], np.ndarray]:
     if callable(h):
         return lambda x: np.asarray(h(np.asarray(x, dtype=float)), dtype=float)
     v = float(h)
-
-    def constant(x):
-        # the quadrature nodes are Python floats: no array for a constant
-        if isinstance(x, float):
-            return v
-        return np.full(np.shape(np.asarray(x, dtype=float)), v, dtype=float)
-
-    return constant
+    return lambda x: np.full(np.shape(x), v)
 
 
 class _Simpson:
@@ -341,8 +337,12 @@ class _ModelTables:
             put(10, ic * ic)
             self.Ic = ic = self.rows[0]  # keep one copy of C
         self._covariate = None  # until every covariate row is written
-        put(1, a)
-        put(3, a * g)
+        if np.array_equal(a, g):  # a(l) = l: the a and a l rows are those of l and l^2
+            self.rows[1] = self.rows[2]
+            self.rows[3] = self.rows[4]
+        else:
+            put(1, a)
+            put(3, a * g)
         put(6, a * f_entry)
         put(9, a * ic)
         self._covariate = (model.a_fun, regularize)
@@ -355,20 +355,21 @@ class _ModelTables:
     def C(self, x) -> np.ndarray:
         return np.interp(x, self.grid, self.Ic)
 
-    def rows_at(self, x: float) -> list[float]:
-        """Every moment row at x, each equal to ``np.interp(x, grid, row)``.
+    def rows_at(self, x) -> np.ndarray:
+        """Every moment row at the points x: ``out[k]`` is ``np.interp(x, grid, rows[k])``.
 
         One index search serves all rows; the arithmetic is np.interp's, so
         the values are bit-identical to it for finite rows.
         """
         g = self.grid
-        j = max(int(g.searchsorted(x, side="right")) - 1, 0)
-        lo = self.rows[:, j]
-        if j == g.size - 1 or g[j] >= x:  # at a grid point, the last one, or below the first
-            return lo.tolist()
-        x0 = g[j]
-        slope = (self.rows[:, j + 1] - lo) / (g[j + 1] - x0)
-        return (slope * (x - x0) + lo).tolist()
+        x = np.asarray(x, dtype=float)
+        j = np.clip(g.searchsorted(x, side="right") - 1, 0, g.size - 2)
+        x0, x1 = g[j], g[j + 1]
+        lo, hi = self.rows[:, j], self.rows[:, j + 1]
+        between = (hi - lo) / (x1 - x0) * (x - x0) + lo
+        # x >= x1 only at or beyond the last point; x <= x0 only at a grid
+        # point or below the first
+        return np.where(x >= x1, hi, np.where(x <= x0, lo, between))
 
     def ybar(self, t) -> np.ndarray:
         return np.exp(-self.B(t)) * self.C(np.minimum(t, self.l_max))
@@ -459,55 +460,132 @@ def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y, _tables: "_Model
     return exy - ex * ey
 
 
-def _node_moments(tables: _ModelTables, test: EfficacyTest, ub: float) -> tuple[float, float, float]:
-    """C(ub) and the at-risk Cov(a, z) and Var(z) at truncation point ub."""
+def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C(ub) and the at-risk Cov(a, z) and Var(z) at the truncation points ub.
+
+    Both moments are 0 where C(ub) is not positive (no entry mass yet).
+    """
     row = tables.rows_at(ub)
     cu = row[0]
-    if cu <= 0:
-        return cu, 0.0, 0.0
-    ea = row[1] / cu
+    mass = cu > 0
+    c = np.where(mass, cu, 1.0)
+    ea = row[1] / c
     k = _FIRST_Z_ROW[test]
     z, az, zz = row[k:k + 3]
     if test is EfficacyTest.SIGN_SIGN:
         # z = 1 - F_u(l) with F_u(l) = C(l)/C(ub)
-        efu = z / cu**2
-        efu2 = zz / cu**3
-        eafu = az / cu**2
-        return cu, -(eafu - ea * efu), efu2 - efu * efu
-    ez = z / cu
-    return cu, az / cu - ea * ez, zz / cu - ez * ez
+        efu = z / c**2
+        efu2 = zz / c**3
+        eafu = az / c**2
+        cov, var = -(eafu - ea * efu), efu2 - efu * efu
+    else:
+        ez = z / c
+        cov, var = az / c - ea * ez, zz / c - ez * ez
+    return cu, np.where(mass, cov, 0.0), np.where(mass, var, 0.0)
+
+
+# QUADPACK's qk21 rule (Piessens et al., 1983): the Kronrod abscissae on
+# [0, 1] from the outside in, their weights, and the weights of the 10-point
+# Gauss rule, whose abscissae are the Kronrod ones of odd index
+_XGK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WGK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821])
+_WG = np.array([0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                0.295524224714752870173892994651338])
+# the same rule over all 21 abscissae on [-1, 1], in ascending order
+_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[11::2] = _WG[::-1]
+
+
+def _gauss_kronrod(f, points, epsabs: float = 1e-12, epsrel: float = 1e-8, limit: int = 300) -> float:
+    """Adaptive 21-point Gauss-Kronrod integral of a vectorised f over [points[0], points[-1]].
+
+    The intervals between ``points`` start the subdivision. Each round calls
+    f once, on every node of the intervals made by the last round, and then
+    bisects the intervals of largest error estimate, as few as leave the
+    others' estimates summing within max(epsabs, epsrel |integral|), with at
+    most ``limit`` intervals in all. The error estimate of an interval is
+    QUADPACK's qk21 one. When the limit stops the subdivision first, the
+    estimate is returned with an IntegrationWarning naming its error bound.
+    """
+    edges = np.asarray(points, dtype=float)
+    new_a, new_b = edges[:-1], edges[1:]
+    a = b = val = err = np.empty(0)
+    while True:
+        centre = 0.5 * (new_a + new_b)
+        half = 0.5 * (new_b - new_a)
+        fx = f((centre[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size)
+        resk = np.sum(fx * _GK_KRONROD, axis=1)
+        mean = 0.5 * resk
+        resabs = np.sum(np.abs(fx) * _GK_KRONROD, axis=1) * half
+        resasc = np.sum(np.abs(fx - mean[:, None]) * _GK_KRONROD, axis=1) * half
+        new_err = np.abs((resk - np.sum(fx * _GK_GAUSS, axis=1)) * half)
+        scaled = resasc * np.minimum(1.0, (200.0 * new_err / np.where(resasc != 0, resasc, 1.0)) ** 1.5)
+        new_err = np.maximum(50 * np.finfo(float).eps * resabs, np.where(resasc != 0, scaled, new_err))
+        a, b = np.concatenate([a, new_a]), np.concatenate([b, new_b])
+        val, err = np.concatenate([val, resk * half]), np.concatenate([err, new_err])
+
+        total, bound = float(np.sum(val)), float(np.sum(err))
+        tol = max(epsabs, epsrel * abs(total))
+        if bound <= tol:
+            return total
+        order = np.argsort(-err, kind="stable")
+        # rest[k]: the error left on the intervals not bisected when the k largest are
+        rest = np.append(np.cumsum(err[order][::-1])[::-1], 0.0)
+        split = order[:min(int(np.argmax(rest <= tol)), limit - a.size)]
+        mid = 0.5 * (a[split] + b[split])
+        if split.size == 0 or not np.all((a[split] < mid) & (mid < b[split])):
+            warnings.warn(f"integral stopped at {a.size} subintervals with error bound {bound:.3g} "
+                          f"above its tolerance {tol:.3g}", IntegrationWarning, stacklevel=3)
+            return total
+        new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        keep = np.ones(a.size, dtype=bool)
+        keep[split] = False
+        a, b, val, err = a[keep], b[keep], val[keep], err[keep]
 
 
 def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
              _tables: "_ModelTables | None" = None) -> EfficacyResult:
-    """Drift, variance and efficacy of one test under the model's alternative."""
-    from scipy.integrate import quad  # imported here: ``import qitest`` stays free of SciPy
+    """Drift, variance and efficacy of one test under the model's alternative.
 
+    Each of mu(inf) and sigma2(inf) is one adaptive integral over the time
+    axis, split at l_max where the truncation point stops moving; the
+    variance's nodes never depend on the covariate.
+    """
     test = EfficacyTest.parse(test_id)
     tables = _tables_for(model, _tables)
     tables.load(model, regularize)
 
+    def at_risk(u):
+        """ybar(u) and the at-risk Cov(a, z) and Var(z) at the times u."""
+        cu, cov, var = _node_moments(tables, test, np.minimum(u, tables.l_max))
+        return np.exp(-tables.B(u)) * cu, cov, var
+
     def mu_integrand(u):
-        cu, cov, _ = _node_moments(tables, test, min(u, tables.l_max))
-        yb = float(np.exp(-tables.B(u)) * cu)
-        return yb * yb * cov * float(tables.lam1(u))
+        yb, cov, _ = at_risk(u)
+        return yb * yb * cov * tables.lam1(u)
 
     def s2_integrand(u):
-        cu, _, var = _node_moments(tables, test, min(u, tables.l_max))
-        yb = float(np.exp(-tables.B(u)) * cu)
-        return yb**3 * var * float(tables.lam1(u)) * float(tables.alpha1(u))
+        yb, _, var = at_risk(u)
+        return yb**3 * var * tables.lam1(u) * tables.alpha1(u)
 
-    opts = dict(epsabs=1e-12, epsrel=1e-8, limit=300)
-    try:
-        mu = quad(mu_integrand, 0.0, tables.l_max, **opts)[0]
-        mu += quad(mu_integrand, tables.l_max, tables.t_max, **opts)[0]
-        s2 = tables.sigma2.get(test)
-        if s2 is None:
-            s2 = quad(s2_integrand, 0.0, tables.l_max, **opts)[0]
-            s2 += quad(s2_integrand, tables.l_max, tables.t_max, **opts)[0]
-            tables.sigma2[test] = s2
-    except Exception as exc:  # pragma: no cover - quad failures are rare
-        raise IntegrationFailure(f"outer efficacy integral failed: {exc}") from exc
+    points = (0.0, tables.l_max, tables.t_max)
+    mu = _gauss_kronrod(mu_integrand, points)
+    s2 = tables.sigma2.get(test)
+    if s2 is None:
+        s2 = tables.sigma2[test] = _gauss_kronrod(s2_integrand, points)
     if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
         raise IntegrationFailure("efficacy integrals did not produce a finite, positive variance")
     return EfficacyResult(test=test, mu_inf=model.beta * mu, sigma2_inf=s2)

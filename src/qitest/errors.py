@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a stable ``exit_code`` so the command-line layer can map
-failures to distinct process exit statuses.
+failures to distinct process exit statuses. IntegrationWarning is a warning,
+not an error: the result it accompanies is returned.
 """
 
 
@@ -39,6 +40,10 @@ class IntegrationFailure(QITestError):
     """A numerical integral did not meet its tolerance within budget, or diverges."""
 
     exit_code = 6
+
+
+class IntegrationWarning(RuntimeWarning):
+    """An adaptive integral stopped at its subinterval limit above its tolerance; its estimate stands."""
 
 
 class CalibrationFailure(QITestError):

@@ -16,8 +16,9 @@ class InputSpec:
 
     Columns are named when the file has a header, otherwise 0-based indices
     (as strings or ints). A missing event column means every exit is treated
-    as an observed failure (uncensored mode). ``group_column``/``group_value``
-    optionally restrict to matching rows.
+    as an observed failure (uncensored mode). ``group_column`` and
+    ``group_value``, given together, restrict to matching rows. The
+    delimiter is one character.
     """
 
     path: str
@@ -65,10 +66,15 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
 
     Each column is resolved once: a header name wins, otherwise an integer
     (or an integer string) is a 0-based index. Rows are numbered by their
-    line in the file. Raises ParseError for malformed rows and
-    ValidationError (with the row number) when a row has a non-finite time
-    or entry >= exit.
+    line in the file. Raises ParseError for a delimiter that is not one
+    character, a group column without a group value or the reverse, and
+    malformed rows, and ValidationError (with the row number) when a row has
+    a non-finite time or entry >= exit.
     """
+    if not (isinstance(spec.delimiter, str) and len(spec.delimiter) == 1):
+        raise ParseError(f"the delimiter must be one character, got {spec.delimiter!r}")
+    if (spec.group_column is None) != (spec.group_value is None):
+        raise ParseError("a group column and a group value go together: give both or neither")
     report = IngestReport(uncensored_mode=spec.event_column is None)
     entry, exit_, event = [], [], []
     try:
@@ -84,9 +90,8 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
                     continue
                 row_no = reader.line_num
                 report.n_rows += 1
-                if spec.group_column is not None and spec.group_value is not None:
-                    if _cell(row, group_col, row_no) != spec.group_value:
-                        continue
+                if spec.group_value is not None and _cell(row, group_col, row_no) != spec.group_value:
+                    continue
                 try:
                     e = float(_cell(row, entry_col, row_no))
                     x = float(_cell(row, exit_col, row_no))

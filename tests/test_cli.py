@@ -69,6 +69,14 @@ class TestTestCommand:
         code = main(["test", path])
         assert code == 3
 
+    @pytest.mark.parametrize("option", [["--delimiter", ";;"], ["--delimiter", ""],
+                                        ["--group-column", "event"], ["--group-value", "1"]],
+                             ids=["long-delimiter", "empty-delimiter", "lone-group-column", "lone-group-value"])
+    def test_bad_input_options_are_usage_errors(self, capsys, sample_csv, option):
+        code = main(["test", sample_csv, "--event", "event", *option])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_degenerate_exit_code(self, capsys, tmp_path):
         # disjoint windows: no comparable pairs
         path = write(tmp_path, "deg.csv", "entry,exit\n0,1\n5,6\n10,11\n")
@@ -202,3 +210,16 @@ def test_import_and_test_command_leave_scipy_stats_unloaded(sample_csv):
                           env={"PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "chi-square" in done.stdout
+
+
+def test_are_command_needs_no_scipy():
+    """``qitest are`` integrates with numpy alone: no scipy module is imported."""
+    script = ("import sys; from qitest.cli import main; "
+              "assert main(['are', '--format', 'json']) == 0; "
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+              "assert not loaded, loaded")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["result"]) == 24

@@ -10,6 +10,7 @@ from qitest.efficacy import (
     STUDY_COLUMNS,
     AlternativeModel,
     EfficacyTest,
+    _gauss_kronrod,
     _ModelTables,
     _node_moments,
     _ratios_vs_sign,
@@ -25,7 +26,7 @@ from qitest.efficacy import (
     uniform_entry,
     ybar,
 )
-from qitest.errors import DomainError, IntegrationFailure
+from qitest.errors import DomainError, IntegrationFailure, IntegrationWarning
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +93,14 @@ class TestSimpson:
 
 
 class TestRowLookup:
-    """One index search per node reads every moment row exactly as np.interp."""
+    """One index search per array of nodes reads every moment row exactly as np.interp."""
 
     def assert_matches_interp(self, tables, xs):
-        for x in xs:
-            want = [float(np.interp(x, tables.grid, row)) for row in tables.rows]
-            assert bits(tables.rows_at(float(x))) == bits(want), x
+        xs = np.asarray(xs, dtype=float)
+        want = np.stack([np.interp(xs, tables.grid, row) for row in tables.rows])
+        assert bits(tables.rows_at(xs)) == bits(want)
+        for x, column in zip(xs, want.T):  # a scalar x reads one column
+            assert bits(tables.rows_at(x)) == bits(column), x
 
     def test_grid_points(self, exp_moment_tables):
         g = exp_moment_tables.grid
@@ -118,6 +121,47 @@ class TestRowLookup:
         xs = np.concatenate([rng.uniform(0.0, l_max, 300),
                              l_max * 10.0 ** rng.uniform(-12, -2, 300)])
         self.assert_matches_interp(exp_moment_tables, xs)
+
+    def test_mixed_array(self, exp_moment_tables):
+        # every kind of point in one call, in no particular order
+        g = exp_moment_tables.grid
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.uniform(-1.0, 2 * g[-1], 200), g[[0, 1, 9600, g.size - 1]],
+                             [-1e300, 1e300, 0.0, g[-1] * (1 + 1e-15)]])
+        self.assert_matches_interp(exp_moment_tables, rng.permutation(xs))
+
+
+class TestGaussKronrod:
+    """The adaptive outer integrator against SciPy's quad, on smooth, kinked, peaked and singular integrands."""
+
+    @pytest.mark.parametrize("f,points", [
+        (lambda x: np.exp(-x) * np.cos(3 * x), (0.0, 5.0)),  # smooth
+        (lambda x: np.abs(x - 1 / 3) * np.exp(x), (0.0, 2.0)),  # a kink inside
+        (lambda x: 1 / (x + 1e-3), (0.0, 1.0)),  # peaked at an endpoint
+        (lambda x: 1 / np.sqrt(x), (0.0, 1.0)),  # singular at an endpoint
+        (lambda x: np.minimum(x, 1.5) ** 2, (0.0, 1.5, 4.0)),  # split where the kink is
+    ], ids=["smooth", "kink", "peak", "singular", "breakpoint"])
+    def test_matches_quad(self, f, points):
+        want = sum(quad(lambda x: float(f(np.float64(x))), lo, hi, epsabs=1e-12, epsrel=1e-8, limit=300)[0]
+                   for lo, hi in zip(points[:-1], points[1:]))
+        assert _gauss_kronrod(f, points) == pytest.approx(want, rel=1e-8)
+
+    def test_evaluates_each_round_in_one_call(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.abs(x - 1 / 3)
+
+        _gauss_kronrod(f, (0.0, 1.0, 2.0))
+        assert sizes[0] == 2 * 21 and len(sizes) > 1
+        assert all(n % 42 == 0 for n in sizes[1:])  # a bisected interval's two halves
+
+    def test_limit_returns_the_estimate_with_a_warning(self):
+        f = lambda x: np.abs(x - 1 / 3) * np.exp(x)
+        with pytest.warns(IntegrationWarning, match="error bound"):
+            got = _gauss_kronrod(f, (0.0, 2.0), limit=3)
+        assert got == pytest.approx(_gauss_kronrod(f, (0.0, 2.0)), rel=1e-3)
 
 
 class TestEntryDensity:
@@ -319,7 +363,7 @@ class TestSharedTables:
         assert efficacy(linear, "rank") == first
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("ignore::qitest.errors.IntegrationWarning")
 def test_grid_refinement_moves_published_ratios_below_1e6(monkeypatch):
     # halve and double both entry-grid sizes (intervals, so the point counts
     # stay odd); the linear-model ratios of every distinct study cell must hold

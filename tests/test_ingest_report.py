@@ -97,6 +97,23 @@ class TestIngest:
         data, _ = ingest_csv(InputSpec(path=path, group_column="sex", group_value="M"))
         assert data.n == 2
 
+    @pytest.mark.parametrize("group", [dict(group_column="sex"), dict(group_value="M")])
+    def test_lone_group_option_rejected(self, tmp_path, group):
+        path = write(tmp_path, "d.csv", "sex,entry,exit\nM,0,3\nF,1,2\nM,1,4\n")
+        with pytest.raises(ParseError, match="group column and a group value"):
+            ingest_csv(InputSpec(path=path, **group))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", ", "])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = write(tmp_path, "d.csv", "entry,exit\n0,3\n1,2\n")
+        with pytest.raises(ParseError, match="one character"):
+            ingest_csv(InputSpec(path=path, delimiter=delimiter))
+
+    def test_one_character_delimiter(self, tmp_path):
+        path = write(tmp_path, "d.csv", "entry;exit\n0;3\n1;2\n")
+        data, _ = ingest_csv(InputSpec(path=path, delimiter=";"))
+        assert data.exit.tolist() == [3.0, 2.0]
+
     def test_tie_warning(self, tmp_path):
         path = write(tmp_path, "d.csv", "entry,exit\n0,3\n0,4\n1,3\n")
         _, report = ingest_csv(InputSpec(path=path))
