@@ -8,7 +8,7 @@ Monte Carlo harness, and a bundled real data set.
 
 __version__ = "0.1.0"
 
-from .comparability import count_comparable, lambda_matrix, omega_matrix
+from .comparability import count_comparable
 from .coxscore import cox_score_covariate, cox_score_rankstar
 from .data import Dataset, Observation
 from .datasets import CHANNING_SHA256, load_channing
@@ -102,11 +102,9 @@ __all__ = [
     "generate_dataset",
     "ingest_csv",
     "kappa_hat",
-    "lambda_matrix",
     "load_channing",
     "model_linear_risk",
     "model_reciprocal_risk",
-    "omega_matrix",
     "phi_hat_fast",
     "pitman_are",
     "quasi_independence_test",

@@ -68,7 +68,7 @@ def _spec_from_args(args) -> InputSpec:
     def col(v):
         if v is None:
             return None
-        return int(v) if args.no_header or (isinstance(v, str) and v.isdigit()) else v
+        return int(v) if v.isdigit() else v
 
     return InputSpec(
         path=args.path,

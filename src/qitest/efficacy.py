@@ -60,6 +60,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, IntegrationFailure, IntegrationWarning
+from .kernels import parse_member
 
 HazardLike = "float | Callable[[np.ndarray], np.ndarray]"
 
@@ -107,13 +108,7 @@ class EfficacyTest(enum.Enum):
 
     @classmethod
     def parse(cls, name: "EfficacyTest | str") -> "EfficacyTest":
-        if isinstance(name, EfficacyTest):
-            return name
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(t.value for t in cls)
-            raise ValueError(f"unknown test {name!r}; expected one of: {valid}") from None
+        return parse_member(cls, name, "test")
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ class _Simpson:
 
 
 #: the moment table's row of each test's z = l, F_L(l) or C(l); the a z and
-#: z^2 rows follow it (see _ModelTables.load)
+#: z^2 rows follow it (see _ModelTables.__init__)
 _FIRST_Z_ROW = {EfficacyTest.LINEAR_SIGN: 2, EfficacyTest.RANK_SIGN: 5, EfficacyTest.SIGN_SIGN: 8}
 
 
@@ -218,14 +213,16 @@ class _ModelTables:
     """Cumulative-integral tables underlying every efficacy quantity.
 
     All but the four covariate rows, which ``load`` writes in place, depend
-    on the entry law and the hazards alone, as does each test's sigma2(inf).
+    on the entry law and the hazards alone, as does each test's sigma2(inf),
+    so one set serves every test and every covariate transform of a model's
+    entry law and hazards.
     """
 
     GEOM_POINTS = 9601
     UNIF_POINTS = 200001
 
     def __init__(self, model: AlternativeModel):
-        self.model = model
+        self.entry = model.entry
         lam0 = _as_fun(model.lambda0)
         lam1 = _as_fun(model.lambda1)
         psi0 = _as_fun(model.psi0)
@@ -234,7 +231,6 @@ class _ModelTables:
         self.alpha1 = _as_fun(model.alpha1)
         gamma0 = lambda x: lam0(x) + psi0(x)
         gamma1 = lambda x: lam1(x) + psi1(x)
-        self.gamma1 = gamma1
 
         self.l_max = self._find_l_max(model.entry, gamma0, gamma1)
         # mixed grid: geometric near 0 (resolves integrable singularities),
@@ -252,16 +248,25 @@ class _ModelTables:
         self._A_l = A  # cumulative pre-entry hazard on the entry grid
         self._B_l = Bl  # cumulative post-entry hazard on the entry grid
 
-        self.Ic = self.simpson(self.c)
-
         # time grid for the post-entry cumulative hazard beyond l_max
         self.t_max = self._find_t_max(gamma1)
         tg = np.linspace(0.0, self.t_max, 40001)
         self._t_grid = tg
         self._B_t = _Simpson(tg)(gamma1(tg))
 
-        self.rows: np.ndarray | None = None  # the moment table, built by load
-        self._covariate = None  # (a_fun, regularize) of the loaded covariate rows
+        # the moment table: row 0 is C, its only copy; the others integrate
+        # v(l) c(l) for v = a, then z, a z, z^2 for each test's z (the rows
+        # _FIRST_Z_ROW names). The rows free of a are built here, one v at a
+        # time to hold one temporary at a time; load writes rows 1, 3, 6, 9.
+        self.rows = np.empty((11, g.size))
+        self.Ic = ic = self.simpson(self.c, out=self.rows[0])
+        self._put(2, g)
+        self._put(4, g * g)
+        self._put(8, ic)
+        self._put(10, ic * ic)
+        f_entry = np.asarray(model.entry.cdf(g), dtype=float)
+        self._put(5, f_entry)
+        self._put(7, f_entry * f_entry)
         self.sigma2: dict[EfficacyTest, float] = {}  # sigma2(inf) by test
 
     # -- construction helpers -------------------------------------------------
@@ -299,18 +304,14 @@ class _ModelTables:
 
     # -- the moment table ------------------------------------------------------
 
-    def load(self, model: AlternativeModel, regularize: bool) -> None:
-        """Make the moment table hold ``model``'s covariate rows.
+    def _put(self, k: int, v: np.ndarray) -> None:
+        """Write the cumulative integral of v(l) c(l) into moment row k."""
+        self.simpson(v * self.c, out=self.rows[k])
 
-        Row 0 is C; the others integrate v(l) c(l) for v = a, then z, a z,
-        z^2 for each test's z (the rows _FIRST_Z_ROW names). The rows free of
-        a are built on the first load; a load writes rows 1, 3, 6 and 9 in
-        place, one v at a time to hold one temporary at a time.
-        """
-        if self._covariate == (model.a_fun, regularize):
-            return
+    def load(self, a_fun: Callable[[np.ndarray], np.ndarray], regularize: bool) -> None:
+        """Write the covariate rows of a = ``a_fun``: those of a, a l, a F_L and a C."""
         g = self.grid
-        a = np.asarray(model.a_fun(g), dtype=float)
+        a = np.asarray(a_fun(g), dtype=float)
         if not np.all(np.isfinite(a)) or _decade_divergence(self, a):
             if not regularize:
                 raise IntegrationFailure(
@@ -320,32 +321,84 @@ class _ModelTables:
                 )
             a = np.where(g >= REGULARIZATION_FLOOR * self.l_max, a, 0.0)
             a[~np.isfinite(a)] = 0.0
-        f_entry = np.asarray(model.entry.cdf(g), dtype=float)
-        ic = self.Ic
-
-        def put(k, v):
-            self.simpson(v * self.c, out=self.rows[k])
-
-        if self.rows is None:
-            self.rows = np.empty((11, g.size))
-            self.rows[0] = ic
-            put(2, g)
-            put(4, g * g)
-            put(5, f_entry)
-            put(7, f_entry * f_entry)
-            put(8, ic)
-            put(10, ic * ic)
-            self.Ic = ic = self.rows[0]  # keep one copy of C
-        self._covariate = None  # until every covariate row is written
         if np.array_equal(a, g):  # a(l) = l: the a and a l rows are those of l and l^2
             self.rows[1] = self.rows[2]
             self.rows[3] = self.rows[4]
         else:
-            put(1, a)
-            put(3, a * g)
-        put(6, a * f_entry)
-        put(9, a * ic)
-        self._covariate = (model.a_fun, regularize)
+            self._put(1, a)
+            self._put(3, a * g)
+        self._put(6, a * np.asarray(self.entry.cdf(g), dtype=float))
+        self._put(9, a * self.Ic)
+
+    # -- efficacy quantities -----------------------------------------------------
+
+    def efficacies(self, model: AlternativeModel, tests, regularize: bool) -> dict[EfficacyTest, EfficacyResult]:
+        """Drift, variance and efficacy of each test under ``model``'s alternative.
+
+        ``model`` must have the entry law and hazards the tables were built
+        for; its covariate rows are loaded once for all the tests. Each of
+        mu(inf) and sigma2(inf) is one adaptive integral over the time axis,
+        split at l_max where the truncation point stops moving; the
+        variance's nodes never read the covariate, so each test's sigma2(inf)
+        is integrated once per table set.
+        """
+        tests = dict.fromkeys(EfficacyTest.parse(t) for t in tests)
+        self.load(model.a_fun, regularize)
+        return {test: self._efficacy(test, model.beta) for test in tests}
+
+    def _efficacy(self, test: EfficacyTest, beta: float) -> EfficacyResult:
+        def at_risk(u):
+            """ybar(u) and the at-risk Cov(a, z) and Var(z) at the times u."""
+            cu, cov, var = _node_moments(self, test, np.minimum(u, self.l_max))
+            return np.exp(-self.B(u)) * cu, cov, var
+
+        def mu_integrand(u):
+            yb, cov, _ = at_risk(u)
+            return yb * yb * cov * self.lam1(u)
+
+        def s2_integrand(u):
+            yb, _, var = at_risk(u)
+            return yb**3 * var * self.lam1(u) * self.alpha1(u)
+
+        points = (0.0, self.l_max, self.t_max)
+        mu = _gauss_kronrod(mu_integrand, points)
+        s2 = self.sigma2.get(test)
+        if s2 is None:
+            s2 = self.sigma2[test] = _gauss_kronrod(s2_integrand, points)
+        if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
+            raise IntegrationFailure("efficacy integrals did not produce a finite, positive variance")
+        return EfficacyResult(test=test, mu_inf=beta * mu, sigma2_inf=s2)
+
+    def entry_density(self, t: float, l: float) -> float:
+        """Density (in l) of entry times among subjects at risk at time t > 0."""
+        ub = min(t, self.l_max)
+        if l <= 0 or l >= t or l > self.l_max:
+            return 0.0
+        c_l = float(self.entry.pdf(np.asarray(l, dtype=float))
+                    * np.exp(np.interp(l, self.grid, self._B_l) - np.interp(l, self.grid, self._A_l)))
+        denom = float(self.C(ub))
+        if denom <= 0:
+            raise DomainError("no entry mass before t; density undefined")
+        return c_l / denom
+
+    def sigma_xy(self, t: float, proc_x, proc_y) -> float:
+        """Covariance of two entry-time processes under the at-risk density at time t > 0."""
+        ub = min(t, self.l_max)
+        edges = np.linspace(0.0, ub, 257)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        c = np.interp(nodes, self.grid, self.c)
+        z = float(np.sum(wts * c))
+        if z <= 0:
+            raise DomainError("no at-risk mass before t")
+        x = np.asarray(proc_x(nodes), dtype=float)
+        y = np.asarray(proc_y(nodes), dtype=float)
+        exy = float(np.sum(wts * c * x * y)) / z
+        ex = float(np.sum(wts * c * x)) / z
+        ey = float(np.sum(wts * c * y)) / z
+        return exy - ex * ey
 
     # -- lookups ---------------------------------------------------------------
 
@@ -390,36 +443,11 @@ def _decade_divergence(tables: _ModelTables, a_vals: np.ndarray) -> bool:
     return lowest > 1e-9 * total and contrib[0] > 0.45 * (contrib[2] + 1e-300)
 
 
-#: the model fields a table set is built from, besides the entry law
-_TABLE_HAZARDS = ("lambda0", "lambda1", "alpha1", "psi0", "psi1")
-
-
-def _tables_for(model: AlternativeModel, tables: "_ModelTables | None") -> _ModelTables:
-    """``tables`` once checked to be built for the model's entry law and hazards, or fresh ones."""
-    if tables is None:
-        return _ModelTables(model)
-    built = tables.model
-    if built.entry is not model.entry or any(getattr(built, k) != getattr(model, k) for k in _TABLE_HAZARDS):
-        raise ValueError("the tables were built for a model with another entry law or other hazards")
-    return tables
-
-
-def conditional_entry_density(model: AlternativeModel, t: float, l: float,
-                              _tables: "_ModelTables | None" = None) -> float:
+def conditional_entry_density(model: AlternativeModel, t: float, l: float) -> float:
     """Density (in l) of entry times among subjects at risk at time t."""
     if t <= 0:
         raise DomainError("the risk-set time t must be positive")
-    tables = _tables_for(model, _tables)
-    ub = min(t, tables.l_max)
-    if l <= 0 or l >= t or l > tables.l_max:
-        return 0.0
-    c_l = float(model.entry.pdf(np.asarray(l, dtype=float))
-                * np.exp(np.interp(l, tables.grid, tables._B_l)
-                         - np.interp(l, tables.grid, tables._A_l)))
-    denom = float(tables.C(ub))
-    if denom <= 0:
-        raise DomainError("no entry mass before t; density undefined")
-    return c_l / denom
+    return _ModelTables(model).entry_density(t, l)
 
 
 def ybar(model: AlternativeModel, t: float) -> float:
@@ -432,7 +460,7 @@ def ybar(model: AlternativeModel, t: float) -> float:
 _GL_NODES, _GL_WEIGHTS = leggauss(48)
 
 
-def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y, _tables: "_ModelTables | None" = None) -> float:
+def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y) -> float:
     """Covariance of two entry-time processes under the at-risk density at t.
 
     ``proc_x``/``proc_y`` map arrays of entry times to process values.
@@ -441,23 +469,7 @@ def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y, _tables: "_Model
     """
     if t <= 0:
         raise DomainError("the risk-set time t must be positive")
-    tables = _tables_for(model, _tables)
-    ub = min(t, tables.l_max)
-    edges = np.linspace(0.0, ub, 257)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    c = np.interp(nodes, tables.grid, tables.c)
-    z = float(np.sum(wts * c))
-    if z <= 0:
-        raise DomainError("no at-risk mass before t")
-    x = np.asarray(proc_x(nodes), dtype=float)
-    y = np.asarray(proc_y(nodes), dtype=float)
-    exy = float(np.sum(wts * c * x * y)) / z
-    ex = float(np.sum(wts * c * x)) / z
-    ey = float(np.sum(wts * c * y)) / z
-    return exy - ex * ey
+    return _ModelTables(model).sigma_xy(t, proc_x, proc_y)
 
 
 def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -556,49 +568,19 @@ def _gauss_kronrod(f, points, epsabs: float = 1e-12, epsrel: float = 1e-8, limit
         a, b, val, err = a[keep], b[keep], val[keep], err[keep]
 
 
-def efficacy(model: AlternativeModel, test_id, regularize: bool = False,
-             _tables: "_ModelTables | None" = None) -> EfficacyResult:
-    """Drift, variance and efficacy of one test under the model's alternative.
-
-    Each of mu(inf) and sigma2(inf) is one adaptive integral over the time
-    axis, split at l_max where the truncation point stops moving; the
-    variance's nodes never depend on the covariate.
-    """
+def efficacy(model: AlternativeModel, test_id, regularize: bool = False) -> EfficacyResult:
+    """Drift, variance and efficacy of one test under the model's alternative."""
     test = EfficacyTest.parse(test_id)
-    tables = _tables_for(model, _tables)
-    tables.load(model, regularize)
-
-    def at_risk(u):
-        """ybar(u) and the at-risk Cov(a, z) and Var(z) at the times u."""
-        cu, cov, var = _node_moments(tables, test, np.minimum(u, tables.l_max))
-        return np.exp(-tables.B(u)) * cu, cov, var
-
-    def mu_integrand(u):
-        yb, cov, _ = at_risk(u)
-        return yb * yb * cov * tables.lam1(u)
-
-    def s2_integrand(u):
-        yb, _, var = at_risk(u)
-        return yb**3 * var * tables.lam1(u) * tables.alpha1(u)
-
-    points = (0.0, tables.l_max, tables.t_max)
-    mu = _gauss_kronrod(mu_integrand, points)
-    s2 = tables.sigma2.get(test)
-    if s2 is None:
-        s2 = tables.sigma2[test] = _gauss_kronrod(s2_integrand, points)
-    if not (math.isfinite(mu) and math.isfinite(s2)) or s2 <= 0:
-        raise IntegrationFailure("efficacy integrals did not produce a finite, positive variance")
-    return EfficacyResult(test=test, mu_inf=model.beta * mu, sigma2_inf=s2)
+    return _ModelTables(model).efficacies(model, [test], regularize)[test]
 
 
 def pitman_are(model: AlternativeModel, test_a, test_b, regularize: bool = False) -> float:
     """Ratio of the efficacy of test_a to that of test_b under the model."""
-    tables = _ModelTables(model)
-    ea = efficacy(model, test_a, regularize=regularize, _tables=tables)
-    eb = efficacy(model, test_b, regularize=regularize, _tables=tables)
-    if eb.efficacy <= 0:
+    test_a, test_b = EfficacyTest.parse(test_a), EfficacyTest.parse(test_b)
+    res = _ModelTables(model).efficacies(model, [test_a, test_b], regularize)
+    if res[test_b].efficacy <= 0:
         raise IntegrationFailure("reference test has zero efficacy; ratio undefined")
-    return ea.efficacy / eb.efficacy
+    return res[test_a].efficacy / res[test_b].efficacy
 
 
 #: census of the published comparison grid: entry law label -> censoring
@@ -630,7 +612,10 @@ def are_table(regularize: bool = True) -> list[dict]:
                       for name, factory in factories.items()}
             tables = _ModelTables(models["linear-covariate"])
             for name, model in models.items():
-                cells[name, entry_name, psi0, psi1] = _ratios_vs_sign(model, regularize, tables)
+                res = tables.efficacies(model, EfficacyTest, regularize)
+                base = res.pop(EfficacyTest.SIGN_SIGN).efficacy
+                cells[name, entry_name, psi0, psi1] = [(test, r.efficacy, r.efficacy / base)
+                                                       for test, r in res.items()]
             del tables  # building the next set while this one lives raises the peak memory
     return [
         {
@@ -648,15 +633,3 @@ def are_table(regularize: bool = True) -> list[dict]:
         for psi0, psi1 in columns
         for test, eff, ratio in cells[model_name, entry_name, psi0, psi1]
     ]
-
-
-def _ratios_vs_sign(model: AlternativeModel, regularize: bool,
-                    _tables: "_ModelTables | None" = None) -> list[tuple[EfficacyTest, float, float]]:
-    """(test, efficacy, ratio to sign/sign) for the rank and linear members."""
-    tables = _tables_for(model, _tables)
-    base = efficacy(model, EfficacyTest.SIGN_SIGN, regularize=regularize, _tables=tables)
-    out = []
-    for test in (EfficacyTest.RANK_SIGN, EfficacyTest.LINEAR_SIGN):
-        eff = efficacy(model, test, regularize=regularize, _tables=tables).efficacy
-        out.append((test, eff, eff / base.efficacy))
-    return out

@@ -48,9 +48,12 @@ def _column(key, names: dict) -> tuple:
     if str(key) in names:
         return key, names[str(key)]
     try:
-        return key, int(key)
+        pos = int(key)
     except (TypeError, ValueError):  # TypeError: the column is not used (None)
         return key, None
+    if pos < 0:
+        raise ParseError(f"column index {key!r} is negative; indexes are 0-based")
+    return key, pos
 
 
 def _cell(row, column, row_no):
@@ -64,12 +67,13 @@ def _cell(row, column, row_no):
 def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
     """Read and validate a delimited file.
 
-    Each column is resolved once: a header name wins, otherwise an integer
-    (or an integer string) is a 0-based index. Rows are numbered by their
-    line in the file. Raises ParseError for a delimiter that is not one
-    character, a group column without a group value or the reverse, and
-    malformed rows, and ValidationError (with the row number) when a row has
-    a non-finite time or entry >= exit.
+    The file is read as UTF-8, a leading byte-order mark skipped. Each
+    column is resolved once: a header name wins, otherwise an integer (or an
+    integer string) is a 0-based index. Rows are numbered by their line in
+    the file. Raises ParseError for a delimiter that is not one character, a
+    group column without a group value or the reverse, a negative column
+    index, a file that is not UTF-8 and malformed rows, and ValidationError
+    (with the row number) when a row has a non-finite time or entry >= exit.
     """
     if not (isinstance(spec.delimiter, str) and len(spec.delimiter) == 1):
         raise ParseError(f"the delimiter must be one character, got {spec.delimiter!r}")
@@ -78,7 +82,7 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
     report = IngestReport(uncensored_mode=spec.event_column is None)
     entry, exit_, event = [], [], []
     try:
-        with open(spec.path, newline="") as fh:
+        with open(spec.path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=spec.delimiter)
             # a repeated header name means its last column, as with csv.DictReader
             names = {name: i for i, name in enumerate(next(reader, []))} if spec.header else {}
@@ -111,7 +115,7 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
                 entry.append(e)
                 exit_.append(x)
                 event.append(d)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {spec.path}: {exc}") from exc
     if not entry:
         raise ValidationError(f"{spec.path}: no usable rows")

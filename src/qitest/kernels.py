@@ -17,6 +17,22 @@ import enum
 import numpy as np
 
 
+def parse_member(cls: type[enum.Enum], name, noun: str):
+    """The member of the string-valued enum ``cls`` that ``name`` is or names.
+
+    A string names the member whose value it is, in any case and with
+    surrounding spaces. Anything else raises ValueError naming the valid
+    values; ``noun`` says what kind of name was expected.
+    """
+    if isinstance(name, cls):
+        return name
+    try:
+        return cls(name.strip().lower())
+    except (AttributeError, ValueError):  # AttributeError: not a string
+        valid = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {noun} {name!r}; expected one of: {valid}") from None
+
+
 class Kernel(enum.Enum):
     """Kernel identifiers, parseable from case-insensitive strings."""
 
@@ -26,13 +42,7 @@ class Kernel(enum.Enum):
 
     @classmethod
     def parse(cls, name: "Kernel | str") -> "Kernel":
-        if isinstance(name, Kernel):
-            return name
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown kernel {name!r}; expected one of: {valid}") from None
+        return parse_member(cls, name, "kernel")
 
 
 def rank_transform(values) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CalibrationFailure, DegenerateDataset, DegenerateVariance, GenerationStall
-from .kernels import Kernel
+from .kernels import Kernel, parse_member
 from .teststat import STANDARD_PAIRS, _grid_block
 
 _ACCEPT_FLOOR = 1e-6
@@ -45,13 +45,7 @@ class ScenarioFamily(enum.Enum):
 
     @classmethod
     def parse(cls, name: "ScenarioFamily | str") -> "ScenarioFamily":
-        if isinstance(name, ScenarioFamily):
-            return name
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(f.value for f in cls)
-            raise ValueError(f"unknown scenario {name!r}; expected one of: {valid}") from None
+        return parse_member(cls, name, "scenario")
 
 
 @dataclass(frozen=True)

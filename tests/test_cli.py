@@ -7,6 +7,8 @@ import pytest
 
 from qitest.cli import main
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -77,6 +79,20 @@ class TestTestCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("option", [["--entry", "-1", "--event", "event"],
+                                        ["--no-header", "--entry", "0", "--exit", "1", "--event", "-1"]],
+                             ids=["header", "no-header"])
+    def test_negative_column_is_a_usage_error(self, capsys, sample_csv, option):
+        code = main(["test", sample_csv, *option])
+        assert code == 2
+        assert "negative" in capsys.readouterr().err
+
+    def test_no_header_with_column_names_is_a_usage_error(self, capsys, sample_csv):
+        # without a header, the default column names match nothing
+        code = main(["test", sample_csv, "--no-header"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: row 1: missing column 'entry'\n"
+
     def test_degenerate_exit_code(self, capsys, tmp_path):
         # disjoint windows: no comparable pairs
         path = write(tmp_path, "deg.csv", "entry,exit\n0,1\n5,6\n10,11\n")
@@ -105,6 +121,11 @@ class TestUnknownNames:
 
 
 class TestChanningCommand:
+    def test_default_table_is_unchanged(self, capsys):
+        code, out = run(capsys, ["channing"])
+        assert code == 0
+        assert out == (GOLDEN / "channing.txt").read_text()
+
     def test_both_groups_row_count(self, capsys):
         code, out = run(capsys, ["channing", "--format", "json"])
         assert code == 0
@@ -177,6 +198,11 @@ class TestSimulateCommand:
 
 
 class TestAreCommand:
+    def test_default_table_is_unchanged(self, capsys):
+        code, out = run(capsys, ["are"])
+        assert code == 0
+        assert out == (GOLDEN / "are.txt").read_text()
+
     def test_table(self, capsys):
         code, out = run(capsys, ["are", "--format", "csv"])
         assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from qitest.efficacy import (
     _gauss_kronrod,
     _ModelTables,
     _node_moments,
-    _ratios_vs_sign,
     _Simpson,
     are_table,
     conditional_entry_density,
@@ -43,7 +41,7 @@ def exp_tables(exp_model):
 @pytest.fixture(scope="module")
 def exp_moment_tables(exp_model):
     tables = _ModelTables(exp_model)
-    tables.load(exp_model, regularize=False)
+    tables.load(exp_model.a_fun, regularize=False)
     return tables
 
 
@@ -166,14 +164,15 @@ class TestGaussKronrod:
 
 class TestEntryDensity:
     def test_closed_form_value(self, exp_model, exp_tables):
-        got = conditional_entry_density(exp_model, t=1.0, l=0.5, _tables=exp_tables)
+        got = exp_tables.entry_density(t=1.0, l=0.5)
         want = 2 * math.exp(-1.0) / (1 - math.exp(-2.0))
         assert got == pytest.approx(want, rel=1e-6)
+        assert conditional_entry_density(exp_model, t=1.0, l=0.5) == got
 
-    def test_outside_support_is_zero(self, exp_model, exp_tables):
-        assert conditional_entry_density(exp_model, 1.0, 1.0, _tables=exp_tables) == 0.0
-        assert conditional_entry_density(exp_model, 1.0, 1.7, _tables=exp_tables) == 0.0
-        assert conditional_entry_density(exp_model, 1.0, -0.1, _tables=exp_tables) == 0.0
+    def test_outside_support_is_zero(self, exp_tables):
+        assert exp_tables.entry_density(1.0, 1.0) == 0.0
+        assert exp_tables.entry_density(1.0, 1.7) == 0.0
+        assert exp_tables.entry_density(1.0, -0.1) == 0.0
 
     def test_rejects_nonpositive_time(self, exp_model):
         with pytest.raises(DomainError):
@@ -183,7 +182,7 @@ class TestEntryDensity:
     def test_normalization(self, psi0, psi1, t):
         model = model_linear_risk(exponential_entry(2.0), psi0, psi1)
         tables = _ModelTables(model)
-        val = quad(lambda l: conditional_entry_density(model, t, l, _tables=tables),
+        val = quad(lambda l: tables.entry_density(t, l),
                    0.0, t, limit=300, epsabs=1e-11, epsrel=1e-10)[0]
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -232,14 +231,14 @@ class TestSigmaXY:
 
     def test_reflection_antisymmetry(self, exp_model, exp_tables):
         f = exp_model.entry.cdf
-        a = sigma_xy(exp_model, 2.0, lambda l: l, lambda l: 1 - f(l), _tables=exp_tables)
-        b = sigma_xy(exp_model, 2.0, lambda l: l, f, _tables=exp_tables)
+        a = exp_tables.sigma_xy(2.0, lambda l: l, lambda l: 1 - f(l))
+        b = exp_tables.sigma_xy(2.0, lambda l: l, f)
         assert a == pytest.approx(-b, rel=1e-9)
 
     def test_variance_nonnegative(self, exp_model, exp_tables):
         for t in (0.3, 1.0, 4.0):
             for proc in (lambda l: l, np.sin, exp_model.entry.cdf):
-                assert sigma_xy(exp_model, t, proc, proc, _tables=exp_tables) >= 0.0
+                assert exp_tables.sigma_xy(t, proc, proc) >= 0.0
 
 
 class TestEfficacy:
@@ -306,9 +305,8 @@ def fresh_cells():
         for entry_name, columns in STUDY_COLUMNS.items():
             for psi0, psi1 in dict.fromkeys(columns):
                 model = factory(entries[entry_name], psi0, psi1)
-                tables = _ModelTables(model)
-                cells[model_name, entry_name, psi0, psi1] = {
-                    test: efficacy(model, test, regularize=True, _tables=tables) for test in EfficacyTest}
+                cells[model_name, entry_name, psi0, psi1] = _ModelTables(model).efficacies(
+                    model, EfficacyTest, regularize=True)
     return cells
 
 
@@ -341,25 +339,16 @@ class TestSharedTables:
                 for test in EfficacyTest:
                     assert res[test].sigma2_inf == other[test].sigma2_inf, (cell, test)
 
-    @pytest.mark.parametrize("change", [
-        dict(entry=exponential_entry(2.0)),  # an equal law, but another object
-        dict(lambda0=0.31), dict(lambda1=0.31), dict(alpha1=1.1), dict(psi0=0.1), dict(psi1=1.1),
-    ], ids=lambda change: next(iter(change)))
-    def test_tables_of_another_model_are_refused(self, change):
-        model = model_linear_risk(exponential_entry(2.0), 0.0, 1.0)
-        tables = _ModelTables(model)
-        with pytest.raises(ValueError, match="built for a model"):
-            efficacy(dataclasses.replace(model, **change), "linear", _tables=tables)
-
     def test_reloading_a_covariate_restores_its_result(self):
         entry = exponential_entry(2.0)
         linear, reciprocal = model_linear_risk(entry, 0.0, 1.0), model_reciprocal_risk(entry, 0.0, 1.0)
         tables = _ModelTables(linear)
-        first = efficacy(linear, "rank", _tables=tables)
-        assert efficacy(reciprocal, "rank", regularize=True, _tables=tables).mu_inf != first.mu_inf
+        first = tables.efficacies(linear, ["rank"], regularize=False)[EfficacyTest.RANK_SIGN]
+        other = tables.efficacies(reciprocal, ["rank"], regularize=True)[EfficacyTest.RANK_SIGN]
+        assert other.mu_inf != first.mu_inf
         with pytest.raises(IntegrationFailure, match="not integrable"):
-            efficacy(reciprocal, "rank", _tables=tables)  # loaded regularized, asked unregularized
-        assert efficacy(linear, "rank", _tables=tables) == first
+            tables.efficacies(reciprocal, ["rank"], regularize=False)
+        assert tables.efficacies(linear, ["rank"], regularize=False)[EfficacyTest.RANK_SIGN] == first
         assert efficacy(linear, "rank") == first
 
 
@@ -373,8 +362,12 @@ def test_grid_refinement_moves_published_ratios_below_1e6(monkeypatch):
     assert len(models) == 5
 
     def ratios():
-        return np.array([ratio for model in models
-                         for _, _, ratio in _ratios_vs_sign(model, regularize=True)])
+        out = []
+        for model in models:
+            res = _ModelTables(model).efficacies(model, EfficacyTest, regularize=True)
+            out += [res[test].efficacy / res[EfficacyTest.SIGN_SIGN].efficacy
+                    for test in (EfficacyTest.RANK_SIGN, EfficacyTest.LINEAR_SIGN)]
+        return np.array(out)
 
     base = ratios()
     geom, unif = _ModelTables.GEOM_POINTS, _ModelTables.UNIF_POINTS

@@ -86,6 +86,29 @@ class TestIngest:
         data, _ = ingest_csv(InputSpec(path=path, entry_column=1, exit_column=0))
         assert data.entry.tolist() == [5.0, 6.0] and data.exit.tolist() == [9.0, 8.0]
 
+    @pytest.mark.parametrize("columns", [dict(entry_column=-1), dict(event_column="-1"),
+                                         dict(group_column=-2, group_value="1")])
+    def test_negative_column_index_rejected(self, tmp_path, columns):
+        path = write(tmp_path, "d.csv", "entry,exit,event\n1,3,1\n0,2,0\n")
+        with pytest.raises(ParseError, match="negative"):
+            ingest_csv(InputSpec(path=path, **columns))
+        path = write(tmp_path, "n.csv", "1,3,1\n0,2,0\n")
+        with pytest.raises(ParseError, match="negative"):
+            ingest_csv(InputSpec(path=path, **{"entry_column": 0, "exit_column": 1, **columns}, header=False))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheets save UTF-8 CSV files with a leading byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes("entry,exit,event\n0,3,1\n1,2,0\n".encode("utf-8-sig"))
+        data, _ = ingest_csv(InputSpec(path=str(path), event_column="event"))
+        assert data.entry.tolist() == [0.0, 1.0] and data.event.tolist() == [1, 0]
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("entry,exit,note\n0,3,caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="cannot read"):
+            ingest_csv(InputSpec(path=str(path)))
+
     def test_rows_are_numbered_by_file_line(self, tmp_path):
         path = write(tmp_path, "d.csv", 'entry,exit,note\n0,3,"two\nlines"\n\n\n1,2,\nx,2,\n')
         with pytest.raises(ParseError, match="^row 7: non-numeric"):

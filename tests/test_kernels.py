@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+from qitest.efficacy import EfficacyTest
 from qitest.kernels import Kernel, pair_matrix, rank_transform
+from qitest.simulate import SimScenario
 
 from oracles import eval_linear, eval_rank_kernel, eval_sign
 
@@ -105,3 +107,18 @@ def test_kernel_parsing():
     assert Kernel.parse(Kernel.RANK) is Kernel.RANK
     with pytest.raises(ValueError, match="unknown kernel"):
         Kernel.parse("cubic")
+
+
+@pytest.mark.parametrize("parse,noun", [(Kernel.parse, "kernel"), (EfficacyTest.parse, "test"),
+                                        (lambda name: SimScenario(family=name), "scenario")],
+                         ids=["kernel", "efficacy-test", "scenario"])
+@pytest.mark.parametrize("name", [3, None], ids=repr)
+def test_a_name_that_is_not_a_string(parse, noun, name):
+    with pytest.raises(ValueError, match=f"^unknown {noun} .*; expected one of: "):
+        parse(name)
+
+
+def test_a_member_of_another_enum_is_not_a_name():
+    assert EfficacyTest.parse("sign") is EfficacyTest.SIGN_SIGN
+    with pytest.raises(ValueError, match="unknown test"):
+        EfficacyTest.parse(Kernel.SIGN)
