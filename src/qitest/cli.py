@@ -65,17 +65,12 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> InputSpec:
-    def col(v):
-        if v is None:
-            return None
-        return int(v) if v.isdigit() else v
-
     return InputSpec(
         path=args.path,
-        entry_column=col(args.entry),
-        exit_column=col(args.exit_),
-        event_column=col(args.event),
-        group_column=col(args.group_column),
+        entry_column=args.entry,
+        exit_column=args.exit_,
+        event_column=args.event,
+        group_column=args.group_column,
         group_value=args.group_value,
         delimiter=args.delimiter,
         header=not args.no_header,

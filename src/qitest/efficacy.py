@@ -35,8 +35,10 @@ The drift and variance of a score test with limiting covariate process z are
 
 with Cov_u/Var_u taken under the at-risk entry density at time u. The three
 tests map to z = 1 - F_u(l) (sign/sign, via the within-risk-set rank),
-z = F_L(l) (rank/sign) and z = l (linear/sign). The efficacy is
-mu(inf)^2 / sigma2(inf) and ratios of efficacies compare tests.
+z = F_L(l) (rank/sign) and z = l (linear/sign); as F_u(l) = C(l)/C(u), the
+sign/sign z is C(l) scaled by -1/C(u), plus a constant that moves no
+moment. The efficacy is mu(inf)^2 / sigma2(inf) and ratios of efficacies
+compare tests.
 
 Covariate transforms that are not integrable against the at-risk entry
 density (they blow up like 1/l or faster near the support edge) make mu
@@ -242,11 +244,10 @@ class _ModelTables:
         self.simpson = _Simpson(self.grid)
 
         g = self.grid
-        A = self.simpson(gamma0(g))
-        Bl = self.simpson(gamma1(g))
-        self.c = model.entry.pdf(g) * np.exp(Bl - A)
-        self._A_l = A  # cumulative pre-entry hazard on the entry grid
-        self._B_l = Bl  # cumulative post-entry hazard on the entry grid
+        # log of the entry weight c/f_L: post-entry minus pre-entry cumulative hazard
+        self._log_w = self.simpson(gamma1(g))
+        self._log_w -= self.simpson(gamma0(g))
+        self.c = model.entry.pdf(g) * np.exp(self._log_w)
 
         # time grid for the post-entry cumulative hazard beyond l_max
         self.t_max = self._find_t_max(gamma1)
@@ -349,8 +350,7 @@ class _ModelTables:
     def _efficacy(self, test: EfficacyTest, beta: float) -> EfficacyResult:
         def at_risk(u):
             """ybar(u) and the at-risk Cov(a, z) and Var(z) at the times u."""
-            cu, cov, var = _node_moments(self, test, np.minimum(u, self.l_max))
-            return np.exp(-self.B(u)) * cu, cov, var
+            return self.ybar(u), *_node_moments(self, test, np.minimum(u, self.l_max))
 
         def mu_integrand(u):
             yb, cov, _ = at_risk(u)
@@ -374,8 +374,7 @@ class _ModelTables:
         ub = min(t, self.l_max)
         if l <= 0 or l >= t or l > self.l_max:
             return 0.0
-        c_l = float(self.entry.pdf(np.asarray(l, dtype=float))
-                    * np.exp(np.interp(l, self.grid, self._B_l) - np.interp(l, self.grid, self._A_l)))
+        c_l = float(self.entry.pdf(np.asarray(l, dtype=float)) * np.exp(np.interp(l, self.grid, self._log_w)))
         denom = float(self.C(ub))
         if denom <= 0:
             raise DomainError("no entry mass before t; density undefined")
@@ -472,28 +471,25 @@ def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y) -> float:
     return _ModelTables(model).sigma_xy(t, proc_x, proc_y)
 
 
-def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C(ub) and the at-risk Cov(a, z) and Var(z) at the truncation points ub.
+def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray]:
+    """The at-risk Cov(a, z) and Var(z) at the truncation points ub.
 
-    Both moments are 0 where C(ub) is not positive (no entry mass yet).
+    A test's z is, up to a constant, s r(l) with r the process of its
+    moment rows: r = l or F_L(l) with s = 1, and r = C(l) with
+    s = -1/C(ub) for sign/sign. So Cov(a, z) = s Cov(a, r) and
+    Var(z) = s^2 Var(r). Both are 0 where C(ub) is not positive (no entry
+    mass yet).
     """
     row = tables.rows_at(ub)
-    cu = row[0]
-    mass = cu > 0
-    c = np.where(mass, cu, 1.0)
+    mass = row[0] > 0
+    c = np.where(mass, row[0], 1.0)
+    s = -1.0 / c if test is EfficacyTest.SIGN_SIGN else 1.0
     ea = row[1] / c
     k = _FIRST_Z_ROW[test]
     z, az, zz = row[k:k + 3]
-    if test is EfficacyTest.SIGN_SIGN:
-        # z = 1 - F_u(l) with F_u(l) = C(l)/C(ub)
-        efu = z / c**2
-        efu2 = zz / c**3
-        eafu = az / c**2
-        cov, var = -(eafu - ea * efu), efu2 - efu * efu
-    else:
-        ez = z / c
-        cov, var = az / c - ea * ez, zz / c - ez * ez
-    return cu, np.where(mass, cov, 0.0), np.where(mass, var, 0.0)
+    ez = z / c
+    cov, var = s * (az / c - ea * ez), s * s * (zz / c - ez * ez)
+    return np.where(mass, cov, 0.0), np.where(mass, var, 0.0)
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the Kronrod abscissae on

@@ -44,16 +44,23 @@ class IngestReport:
 
 
 def _column(key, names: dict) -> tuple:
-    """(key, position): a header name wins, otherwise ``key`` read as a 0-based index."""
+    """(label, position): a header name wins, otherwise ``key`` (a str or int) read as a 0-based index.
+
+    None means the column is not used; an index is its own label however given.
+    """
+    if key is None:
+        return key, None
+    if isinstance(key, bool) or not isinstance(key, (str, int)):
+        raise ParseError(f"column {key!r} is neither a name nor a 0-based integer index")
     if str(key) in names:
         return key, names[str(key)]
     try:
         pos = int(key)
-    except (TypeError, ValueError):  # TypeError: the column is not used (None)
+    except ValueError:
         return key, None
     if pos < 0:
         raise ParseError(f"column index {key!r} is negative; indexes are 0-based")
-    return key, pos
+    return pos, pos
 
 
 def _cell(row, column, row_no):
@@ -71,9 +78,10 @@ def ingest_csv(spec: InputSpec) -> tuple[Dataset, IngestReport]:
     column is resolved once: a header name wins, otherwise an integer (or an
     integer string) is a 0-based index. Rows are numbered by their line in
     the file. Raises ParseError for a delimiter that is not one character, a
-    group column without a group value or the reverse, a negative column
-    index, a file that is not UTF-8 and malformed rows, and ValidationError
-    (with the row number) when a row has a non-finite time or entry >= exit.
+    group column without a group value or the reverse, a column key that is
+    not a string or a non-negative int, a file that is not UTF-8 and
+    malformed rows, and ValidationError (with the row number) when a row has
+    a non-finite time or entry >= exit.
     """
     if not (isinstance(spec.delimiter, str) and len(spec.delimiter) == 1):
         raise ParseError(f"the delimiter must be one character, got {spec.delimiter!r}")

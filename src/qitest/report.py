@@ -9,7 +9,9 @@ QITestError.
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,25 +60,25 @@ def to_json(obj) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """Render a homogeneous list of dicts as CSV with full-precision floats."""
+    """Render a homogeneous list of dicts as CSV (quoted as needed) with full-precision floats."""
     if not rows:
         return ""
     cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row[c]
-            if isinstance(v, enum.Enum):
-                v = v.value
-            if isinstance(v, bool):
-                cells.append("1" if v else "0")
-            elif isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows([_csv_cell(row[c]) for c in cols] for row in rows)
+    return out.getvalue()
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, enum.Enum):
+        v = v.value
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return format_float(v)
+    return str(v)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -284,32 +285,35 @@ def _replicate_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
 
 
-def _replicate_batch(args):
-    """Tallies of replicates lo..hi-1, generated and tested a block at a time."""
+def _replicate_batch(args) -> Counter:
+    """Tallies of replicates lo..hi-1, generated and tested a block at a time.
+
+    ``("reject", pair)`` and ``("cell", pair)`` count each pair's rejections
+    and degenerate cells, ``"datasets"`` the degenerate datasets and
+    ``"censored"`` the censored subjects (an integer, so the total is
+    order-free).
+    """
     scenario, censoring_rate, pairs, level, lo, hi = args
-    tallies = {pair: 0 for pair in pairs}
-    cells = {pair: 0 for pair in pairs}
-    datasets = 0
-    censored = 0  # censored subjects, an integer so the total is order-free
+    tally = Counter()
     censored_mode = scenario.censoring_target is not None
     per_block = max(1, _BLOCK_SUBJECTS // scenario.target_n)
     for start in range(lo, hi, per_block):
         block = [generate_dataset(scenario, _replicate_rng(scenario.seed, r), censoring_rate)
                  for r in range(start, min(start + per_block, hi))]
-        censored += sum(data.n - data.n_events for data in block)
+        tally["censored"] += sum(data.n - data.n_events for data in block)
         grids = _grid_block(np.stack([data.entry for data in block]),
                             np.stack([data.exit for data in block]),
                             np.stack([data.event for data in block]), pairs, censored_mode)
         for grid in grids:
             if isinstance(grid, DegenerateDataset):
-                datasets += 1
+                tally["datasets"] += 1
                 continue
             for pair, res in grid.items():
                 if isinstance(res, DegenerateVariance):
-                    cells[pair] += 1
+                    tally["cell", pair] += 1
                 elif res.p_value < level:
-                    tallies[pair] += 1
-    return tallies, cells, datasets, censored
+                    tally["reject", pair] += 1
+    return tally
 
 
 def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
@@ -339,25 +343,16 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             outputs = list(pool.map(_replicate_batch, chunks))
 
-    tallies = {pair: 0 for pair in pairs}
-    cells = {pair: 0 for pair in pairs}
-    datasets = 0
-    censored = 0
-    for t, c, d, k in outputs:
-        for pair in pairs:
-            tallies[pair] += t[pair]
-            cells[pair] += c[pair]
-        datasets += d
-        censored += k
+    tally = sum(outputs, Counter())
     return ExperimentReport(
         scenario=scenario,
         censored_mode=scenario.censoring_target is not None,
         level=level,
         replicates=replicates,
         kernel_pairs=pairs,
-        rejections=tallies,
-        degenerate_datasets=datasets,
-        degenerate_cells=cells,
-        mean_censored_fraction=censored / (scenario.target_n * replicates),
+        rejections={pair: tally["reject", pair] for pair in pairs},
+        degenerate_datasets=tally["datasets"],
+        degenerate_cells={pair: tally["cell", pair] for pair in pairs},
+        mean_censored_fraction=tally["censored"] / (scenario.target_n * replicates),
         censoring_rate=censoring_rate,
     )

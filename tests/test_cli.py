@@ -93,6 +93,12 @@ class TestTestCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: row 1: missing column 'entry'\n"
 
+    def test_digit_that_is_not_an_index_is_a_usage_error(self, capsys, sample_csv):
+        # "²" is a digit to str.isdigit but not an integer to int()
+        code = main(["test", sample_csv, "--no-header", "--entry", "²", "--exit", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: row 1: missing column '²'\n"
+
     def test_degenerate_exit_code(self, capsys, tmp_path):
         # disjoint windows: no comparable pairs
         path = write(tmp_path, "deg.csv", "entry,exit\n0,1\n5,6\n10,11\n")

@@ -266,9 +266,27 @@ class TestEfficacy:
         # the within-risk-set scaled rank has limiting variance 1/12
         res = efficacy(AlternativeModel(entry=exp_model.entry), "sign")
         for ub in (0.5, 2.0, 8.0):
-            _, _, var = _node_moments(exp_moment_tables, EfficacyTest.SIGN_SIGN, ub)
+            _, var = _node_moments(exp_moment_tables, EfficacyTest.SIGN_SIGN, ub)
             assert var == pytest.approx(1 / 12, rel=1e-5)
         assert res.sigma2_inf > 0
+
+    @pytest.mark.parametrize("entry_name, psi0, psi1", [
+        (name, psi0, psi1) for name, columns in STUDY_COLUMNS.items() for psi0, psi1 in dict.fromkeys(columns)])
+    def test_node_moments_match_each_tests_own_process(self, entry_name, psi0, psi1):
+        # one formula with a per-test scale against direct quadrature of each
+        # test's z: 1 - C(l)/C(ub), F_L(l) and l
+        entry = exponential_entry(2.0) if entry_name == "exponential" else uniform_entry()
+        model = model_linear_risk(entry, psi0, psi1)
+        tables = _ModelTables(model)
+        tables.load(model.a_fun, regularize=False)
+        for ub in (0.1, 0.3, 0.7, 1.0):
+            processes = {EfficacyTest.SIGN_SIGN: lambda l: 1.0 - tables.C(l) / tables.C(ub),
+                         EfficacyTest.RANK_SIGN: entry.cdf,
+                         EfficacyTest.LINEAR_SIGN: lambda l: np.asarray(l, dtype=float)}
+            for test, z in processes.items():
+                cov, var = _node_moments(tables, test, ub)
+                assert cov == pytest.approx(tables.sigma_xy(ub, model.a_fun, z), rel=1e-5), (test, ub)
+                assert var == pytest.approx(tables.sigma_xy(ub, z, z), rel=1e-5), (test, ub)
 
     def test_pitman_are_builds_tables_once(self, built_tables):
         pitman_are(model_linear_risk(exponential_entry(2.0), 0.0, 1.0), "linear", "sign")

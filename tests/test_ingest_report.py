@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -96,6 +98,17 @@ class TestIngest:
         with pytest.raises(ParseError, match="negative"):
             ingest_csv(InputSpec(path=path, **{"entry_column": 0, "exit_column": 1, **columns}, header=False))
 
+    @pytest.mark.parametrize("key", [1.5, 1.0, True, False, b"1", [1]],
+                             ids=["float", "integral-float", "true", "false", "bytes", "list"])
+    def test_column_key_that_is_not_a_string_or_int_rejected(self, tmp_path, key):
+        # such a key was read as int(key): 1.5 and True both meant column 1
+        path = write(tmp_path, "n.csv", "1,3,1\n0,2,0\n")
+        with pytest.raises(ParseError, match="neither a name nor"):
+            ingest_csv(InputSpec(path=path, entry_column=key, exit_column=1, header=False))
+        path = write(tmp_path, "d.csv", "entry,exit,event\n1,3,1\n0,2,0\n")
+        with pytest.raises(ParseError, match="neither a name nor"):
+            ingest_csv(InputSpec(path=path, event_column=key))
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # spreadsheets save UTF-8 CSV files with a leading byte-order mark
         path = tmp_path / "bom.csv"
@@ -191,3 +204,15 @@ class TestSerialization:
         assert lines[0] == "a,b,c"
         assert float(lines[2].split(",")[1]) == 1 / 3
         assert rows_to_csv([]) == ""
+
+    def test_csv_cells_with_separators_read_back(self):
+        # a comma, a quote or a line break inside a cell must not split it
+        rows = [{"a": "x,y", "b": 1.0, "c": True},
+                {"a": 'say "hi"', "b": 0.25, "c": False},
+                {"a": "two\nlines", "b": -2.0, "c": True}]
+        text = rows_to_csv(rows)
+        got = list(csv.reader(io.StringIO(text, newline="")))
+        assert got[0] == ["a", "b", "c"]
+        assert [r[0] for r in got[1:]] == ["x,y", 'say "hi"', "two\nlines"]
+        assert [float(r[1]) for r in got[1:]] == [1.0, 0.25, -2.0]
+        assert [r[2] for r in got[1:]] == ["1", "0", "1"]
