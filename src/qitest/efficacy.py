@@ -18,9 +18,12 @@ a fixed function evaluated at min(t, l_max), which keeps the whole
 computation a family of one-dimensional quadratures. Each table is a
 cumulative composite Simpson integral whose coefficients are computed once
 per grid, and the moment tables are the rows of one array, so the nodes of
-the outer quadrature read all of them with one index search. The outer
-integrals are adaptive 21-point Gauss-Kronrod rules that evaluate every node
-of a round in one call.
+the outer quadrature read all of them with one index search. Between grid
+nodes a row is read by cubic Hermite interpolation: the row integrates
+v(l) c(l), so its derivative at a node is v c there, known exactly, and the
+lookup is O(h^4) in the grid spacing h, the order of the Simpson tables
+themselves. The outer integrals are adaptive 21-point Gauss-Kronrod rules
+that evaluate every node of a round in one call.
 
 Only four moment rows depend on the covariate transform a(l): those of a,
 a l, a F_L and a C. The tables are therefore built once per entry law and
@@ -218,10 +221,17 @@ class _ModelTables:
     on the entry law and the hazards alone, as does each test's sigma2(inf),
     so one set serves every test and every covariate transform of a model's
     entry law and hazards.
+
+    The rows are read between grid nodes by a cubic Hermite lookup whose
+    node derivatives come from c, a, l, F_L and C on the grid, so the
+    tables keep a and F_L beside the rows rather than a derivative per row.
+    Being O(h^4), the lookup needs only a 20 001-point uniform segment over
+    the bulk; the geometric segment near 0 keeps its 9 600 points, which
+    resolve the jump of a c at the regularization floor.
     """
 
     GEOM_POINTS = 9601
-    UNIF_POINTS = 200001
+    UNIF_POINTS = 20001
 
     def __init__(self, model: AlternativeModel):
         self.entry = model.entry
@@ -265,9 +275,10 @@ class _ModelTables:
         self._put(4, g * g)
         self._put(8, ic)
         self._put(10, ic * ic)
-        f_entry = np.asarray(model.entry.cdf(g), dtype=float)
+        self.F_L = f_entry = np.asarray(model.entry.cdf(g), dtype=float)
         self._put(5, f_entry)
         self._put(7, f_entry * f_entry)
+        self.a: np.ndarray | None = None  # the loaded covariate on the grid, written by load
         self.sigma2: dict[EfficacyTest, float] = {}  # sigma2(inf) by test
 
     # -- construction helpers -------------------------------------------------
@@ -322,13 +333,14 @@ class _ModelTables:
                 )
             a = np.where(g >= REGULARIZATION_FLOOR * self.l_max, a, 0.0)
             a[~np.isfinite(a)] = 0.0
+        self.a = a
         if np.array_equal(a, g):  # a(l) = l: the a and a l rows are those of l and l^2
             self.rows[1] = self.rows[2]
             self.rows[3] = self.rows[4]
         else:
             self._put(1, a)
             self._put(3, a * g)
-        self._put(6, a * np.asarray(self.entry.cdf(g), dtype=float))
+        self._put(6, a * self.F_L)
         self._put(9, a * self.Ic)
 
     # -- efficacy quantities -----------------------------------------------------
@@ -374,11 +386,15 @@ class _ModelTables:
         ub = min(t, self.l_max)
         if l <= 0 or l >= t or l > self.l_max:
             return 0.0
-        c_l = float(self.entry.pdf(np.asarray(l, dtype=float)) * np.exp(np.interp(l, self.grid, self._log_w)))
+        c_l = float(self._weight(l))
         denom = float(self.C(ub))
         if denom <= 0:
             raise DomainError("no entry mass before t; density undefined")
         return c_l / denom
+
+    def _weight(self, l) -> np.ndarray:
+        """The at-risk entry weight c at the points l: f_L exactly, its log weight interpolated."""
+        return self.entry.pdf(np.asarray(l, dtype=float)) * np.exp(np.interp(l, self.grid, self._log_w))
 
     def sigma_xy(self, t: float, proc_x, proc_y) -> float:
         """Covariance of two entry-time processes under the at-risk density at time t > 0."""
@@ -388,7 +404,7 @@ class _ModelTables:
         half = 0.5 * (edges[1:] - edges[:-1])
         nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        c = np.interp(nodes, self.grid, self.c)
+        c = self._weight(nodes)
         z = float(np.sum(wts * c))
         if z <= 0:
             raise DomainError("no at-risk mass before t")
@@ -405,23 +421,40 @@ class _ModelTables:
         return np.interp(t, self._t_grid, self._B_t)
 
     def C(self, x) -> np.ndarray:
-        return np.interp(x, self.grid, self.Ic)
+        """The cumulative entry weight C at the points x: moment row 0, by the lookup of ``rows_at``."""
+        return self._hermite(x, self.Ic, lambda j: self.c[j])
 
     def rows_at(self, x) -> np.ndarray:
-        """Every moment row at the points x: ``out[k]`` is ``np.interp(x, grid, rows[k])``.
+        """Every moment row at the points x: ``out[k]`` is row k's cubic Hermite interpolant at x.
 
-        One index search serves all rows; the arithmetic is np.interp's, so
-        the values are bit-identical to it for finite rows.
+        Row k integrates v_k(l) c(l), so its derivative at a node is v_k c
+        there (``_slopes``) and the interpolant is O(h^4) in the grid
+        spacing h. It reads the covariate ``load`` wrote.
+        """
+        return self._hermite(x, self.rows, self._slopes)
+
+    def _slopes(self, j) -> np.ndarray:
+        """The derivative v_k c of each moment row k at the grid nodes j."""
+        a, l, f, ic = self.a[j], self.grid[j], self.F_L[j], self.Ic[j]
+        return self.c[j] * np.stack([np.ones_like(l), a, l, a * l, l * l, f, a * f, f * f, ic, a * ic, ic * ic])
+
+    def _hermite(self, x, values: np.ndarray, slopes) -> np.ndarray:
+        """Cubic Hermite interpolant at x of ``values``, tabulated along its last axis.
+
+        ``slopes(j)`` gives the exact derivative of ``values`` at the nodes j.
+
+        One index search serves every row. A grid node returns its stored
+        values bit for bit; x below the first node reads the first node,
+        and x at or beyond the last node the last.
         """
         g = self.grid
-        x = np.asarray(x, dtype=float)
-        j = np.clip(g.searchsorted(x, side="right") - 1, 0, g.size - 2)
-        x0, x1 = g[j], g[j + 1]
-        lo, hi = self.rows[:, j], self.rows[:, j + 1]
-        between = (hi - lo) / (x1 - x0) * (x - x0) + lo
-        # x >= x1 only at or beyond the last point; x <= x0 only at a grid
-        # point or below the first
-        return np.where(x >= x1, hi, np.where(x <= x0, lo, between))
+        x = np.clip(np.asarray(x, dtype=float), g[0], g[-1])
+        j = np.minimum(g.searchsorted(x, side="right") - 1, g.size - 2)
+        h = g[j + 1] - g[j]
+        t = (x - g[j]) / h  # in [0, 1]: 0 at node j, 1 only at the last node
+        s = 1.0 - t
+        return ((1.0 + 2.0 * t) * s * s * values[..., j] + t * t * (3.0 - 2.0 * t) * values[..., j + 1]
+                + t * s * h * (s * slopes(j) - t * slopes(j + 1)))
 
     def ybar(self, t) -> np.ndarray:
         return np.exp(-self.B(t)) * self.C(np.minimum(t, self.l_max))

@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,42 +94,71 @@ class TestSimpson:
 
 
 class TestRowLookup:
-    """One index search per array of nodes reads every moment row exactly as np.interp."""
+    """The cubic Hermite lookup: stored rows at the nodes, the end columns outside the grid, exact on cubics."""
 
-    def assert_matches_interp(self, tables, xs):
+    def assert_reads(self, tables, xs, want):
         xs = np.asarray(xs, dtype=float)
-        want = np.stack([np.interp(xs, tables.grid, row) for row in tables.rows])
-        assert bits(tables.rows_at(xs)) == bits(want)
+        got = tables.rows_at(xs)
+        assert bits(got) == bits(want)
+        assert bits(tables.C(xs)) == bits(got[0])  # C is row 0 by the same lookup
         for x, column in zip(xs, want.T):  # a scalar x reads one column
             assert bits(tables.rows_at(x)) == bits(column), x
 
     def test_grid_points(self, exp_moment_tables):
         g = exp_moment_tables.grid
-        self.assert_matches_interp(exp_moment_tables, g[[0, 1, 2, 9599, 9600, 9601, 100_000, g.size - 2]])
+        brk = _ModelTables.GEOM_POINTS - 1  # index of the first uniform node
+        idx = [0, 1, 2, brk - 1, brk, brk + 1, g.size // 2, g.size - 2]
+        self.assert_reads(exp_moment_tables, g[idx], exp_moment_tables.rows[:, idx])
 
     def test_last_point_and_beyond(self, exp_moment_tables):
         l_max = exp_moment_tables.l_max
-        self.assert_matches_interp(exp_moment_tables, [l_max, l_max * (1 + 1e-15), 2 * l_max])
+        assert exp_moment_tables.grid[-1] == l_max
+        xs = [l_max, l_max * (1 + 1e-15), 2 * l_max, np.inf]
+        self.assert_reads(exp_moment_tables, xs, np.repeat(exp_moment_tables.rows[:, -1:], len(xs), axis=1))
 
     def test_below_first_point(self, exp_moment_tables):
         first = exp_moment_tables.grid[0]
-        self.assert_matches_interp(exp_moment_tables, [0.0, 0.5 * first, np.nextafter(first, 0.0)])
+        xs = [-np.inf, -1.0, 0.0, 0.5 * first, np.nextafter(first, 0.0)]
+        self.assert_reads(exp_moment_tables, xs, np.repeat(exp_moment_tables.rows[:, :1], len(xs), axis=1))
 
-    def test_random_interior_points(self, exp_moment_tables):
+    def test_random_interior_points(self):
+        # uniform(0, 1) entries and equal hazards give c = 1 on the grid, so
+        # every row with a(l) = l loaded is a cubic in l, which the lookup
+        # reproduces up to rounding
+        model = AlternativeModel(entry=uniform_entry())
+        tables = _ModelTables(model)
+        assert np.all(tables.c == 1.0)
+        tables.load(model.a_fun, regularize=False)
+        g0 = tables.grid[0]
         rng = np.random.default_rng(7)
-        l_max = exp_moment_tables.l_max
         # uniform over the bulk and log-uniform over the geometric head
-        xs = np.concatenate([rng.uniform(0.0, l_max, 300),
-                             l_max * 10.0 ** rng.uniform(-12, -2, 300)])
-        self.assert_matches_interp(exp_moment_tables, xs)
+        x = np.concatenate([rng.uniform(g0, 1.0, 300), 10.0 ** rng.uniform(-11, -2, 300)])
+        l1, l2, l3 = x - g0, (x * x - g0 * g0) / 2, (x**3 - g0**3) / 3
+        # row k integrates v_k from g0 with v = 1, a, l, a l, l^2, F_L, a F_L, F_L^2, C, a C, C^2
+        # and a = F_L = l, C = l - g0
+        want = [l1, l2, l2, l3, l3, l2, l3, l3, l1 * l1 / 2, l3 - g0 * l2, l1**3 / 3]
+        got = tables.rows_at(x)
+        for k, row in enumerate(want):
+            assert got[k] == pytest.approx(row, rel=1e-14, abs=0.0), k
 
     def test_mixed_array(self, exp_moment_tables):
-        # every kind of point in one call, in no particular order
+        # every kind of point in one call, in no particular order; the far
+        # ones must not overflow the position within the interval
         g = exp_moment_tables.grid
         rng = np.random.default_rng(11)
-        xs = np.concatenate([rng.uniform(-1.0, 2 * g[-1], 200), g[[0, 1, 9600, g.size - 1]],
-                             [-1e300, 1e300, 0.0, g[-1] * (1 + 1e-15)]])
-        self.assert_matches_interp(exp_moment_tables, rng.permutation(xs))
+        nodes = g[[0, 1, _ModelTables.GEOM_POINTS - 1, g.size - 1]]
+        xs = rng.permutation(np.concatenate([rng.uniform(-1.0, 2 * g[-1], 200), nodes,
+                                             [-1e300, 1e300, 0.0, g[-1] * (1 + 1e-15)]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = exp_moment_tables.rows_at(xs)
+        assert np.all(np.isfinite(got))
+        for x, column in zip(xs, got.T):
+            assert bits(exp_moment_tables.rows_at(x)) == bits(column), x
+            # nodes, and points outside the grid, read a stored column
+            stored = np.flatnonzero(g == np.clip(x, g[0], g[-1]))
+            if stored.size:
+                assert bits(column) == bits(exp_moment_tables.rows[:, stored[0]]), x
 
 
 class TestGaussKronrod:
@@ -368,6 +400,20 @@ class TestSharedTables:
             tables.efficacies(reciprocal, ["rank"], regularize=False)
         assert tables.efficacies(linear, ["rank"], regularize=False)[EfficacyTest.RANK_SIGN] == first
         assert efficacy(linear, "rank") == first
+
+
+def test_are_table_matches_pinned_ratios():
+    # every ratio of are_table(), pinned at 17 digits from tables with a 10x
+    # finer uniform segment read by linear interpolation, whose own error is
+    # about 1e-7; the regularized reciprocal cells get a looser bound
+    pinned = json.loads((Path(__file__).resolve().parent / "golden" / "are_ratios.json").read_text())
+    rows = are_table()
+    assert len(rows) == len(pinned) == 24
+    bound = {"linear-covariate": 2e-7, "reciprocal-covariate": 1e-6}
+    for got, want in zip(rows, pinned):
+        cell = {k: got[k] for k in ("model", "entry", "psi0", "psi1", "g_kernel")}
+        assert cell == {k: want[k] for k in cell}
+        assert got["are_vs_sign_sign"] == pytest.approx(want["are_vs_sign_sign"], rel=bound[got["model"]]), cell
 
 
 @pytest.mark.filterwarnings("ignore::qitest.errors.IntegrationWarning")
