@@ -17,13 +17,13 @@ integral of c. Every at-risk moment needed below is a cumulative integral of
 a fixed function evaluated at min(t, l_max), which keeps the whole
 computation a family of one-dimensional quadratures. Each table is a
 cumulative composite Simpson integral whose coefficients are computed once
-per grid, and the moment tables are the rows of one array, so the nodes of
-the outer quadrature read all of them with one index search. Between grid
-nodes a row is read by cubic Hermite interpolation: the row integrates
-v(l) c(l), so its derivative at a node is v c there, known exactly, and the
-lookup is O(h^4) in the grid spacing h, the order of the Simpson tables
-themselves. The outer integrals are adaptive 21-point Gauss-Kronrod rules
-that evaluate every node of a round in one call.
+per grid, and the moment tables are the rows of one array. A lookup reads
+the rows its caller asks for with one index search, by cubic Hermite
+interpolation: a row integrates v(l) c(l), so its derivative at a node is
+v c there, known exactly, and the lookup is O(h^4) in the grid spacing h,
+the order of the Simpson tables themselves. The outer integrals are
+adaptive 21-point Gauss-Kronrod rules that evaluate every node of a round
+in one call; ``ybar`` and ``conditional_entry_density`` take arrays.
 
 Only four moment rows depend on the covariate transform a(l): those of a,
 a l, a F_L and a C. The tables are therefore built once per entry law and
@@ -209,8 +209,25 @@ class _Simpson:
         return np.cumsum(out, out=out)
 
 
-#: the moment table's row of each test's z = l, F_L(l) or C(l); the a z and
-#: z^2 rows follow it (see _ModelTables.__init__)
+def _doubling_grids(start: float, points: int, rounds: int):
+    """The grids linspace(0, 2^k start, points), k < ``rounds``, each with its cumulative Simpson rule.
+
+    Grid k is the first one times 2^k exactly, and so are its spacings, so
+    one ``_Simpson`` set serves all: its integrals times 2^k are bit for bit
+    those of a set built on grid k.
+    """
+    first = np.linspace(0.0, start, points)
+    simpson = _Simpson(first)
+    for k in range(rounds):
+        scale = 2.0**k
+        yield scale * first, lambda y, scale=scale: scale * simpson(y)
+
+
+#: moment row k integrates v_k(l) c(l), v_k the product of the factors named
+#: here: the covariate a, l, F_L (F) and C. Row 0 (v = 1) is C itself; then
+#: come a and, for each test's z, the z, a z and z^2 rows
+_ROW_FACTORS = ("", "a", "l", "al", "ll", "F", "aF", "FF", "C", "aC", "CC")
+#: the moment table's row of each test's z = l, F_L(l) or C(l)
 _FIRST_Z_ROW = {EfficacyTest.LINEAR_SIGN: 2, EfficacyTest.RANK_SIGN: 5, EfficacyTest.SIGN_SIGN: 8}
 
 
@@ -222,11 +239,10 @@ class _ModelTables:
     so one set serves every test and every covariate transform of a model's
     entry law and hazards.
 
-    The rows are read between grid nodes by a cubic Hermite lookup whose
-    node derivatives come from c, a, l, F_L and C on the grid, so the
-    tables keep a and F_L beside the rows rather than a derivative per row.
-    Being O(h^4), the lookup needs only a 20 001-point uniform segment over
-    the bulk; the geometric segment near 0 keeps its 9 600 points, which
+    The lookup's node derivatives come from c, a, l, F_L and C on the grid,
+    so the tables keep a and F_L beside the rows, not a derivative per row.
+    Being O(h^4), it needs only a 20 001-point uniform segment over the
+    bulk; the geometric segment near 0 keeps its 9 600 points, which
     resolve the jump of a c at the regularization floor.
     """
 
@@ -234,91 +250,74 @@ class _ModelTables:
     UNIF_POINTS = 20001
 
     def __init__(self, model: AlternativeModel):
-        self.entry = model.entry
-        lam0 = _as_fun(model.lambda0)
-        lam1 = _as_fun(model.lambda1)
-        psi0 = _as_fun(model.psi0)
-        psi1 = _as_fun(model.psi1)
+        self.entry = entry = model.entry
+        lam0, lam1, psi0, psi1 = map(_as_fun, (model.lambda0, model.lambda1, model.psi0, model.psi1))
         self.lam1 = lam1
         self.alpha1 = _as_fun(model.alpha1)
         gamma0 = lambda x: lam0(x) + psi0(x)
         gamma1 = lambda x: lam1(x) + psi1(x)
 
-        self.l_max = self._find_l_max(model.entry, gamma0, gamma1)
+        self.l_max = float(entry.upper) if math.isfinite(entry.upper) else self._find_l_max(entry, gamma0, gamma1)
         # mixed grid: geometric near 0 (resolves integrable singularities),
         # uniform over the bulk
         brk = 1e-2 * self.l_max
         geo = np.geomspace(1e-12 * self.l_max, brk, self.GEOM_POINTS)[:-1]
         uni = np.linspace(brk, self.l_max, self.UNIF_POINTS)
-        self.grid = np.concatenate([geo, uni])
-        self.simpson = _Simpson(self.grid)
+        self.grid = g = np.concatenate([geo, uni])
+        self.simpson = _Simpson(g)
 
-        g = self.grid
         # log of the entry weight c/f_L: post-entry minus pre-entry cumulative hazard
         self._log_w = self.simpson(gamma1(g))
         self._log_w -= self.simpson(gamma0(g))
-        self.c = model.entry.pdf(g) * np.exp(self._log_w)
+        self.c = entry.pdf(g) * np.exp(self._log_w)
 
         # time grid for the post-entry cumulative hazard beyond l_max
         self.t_max = self._find_t_max(gamma1)
-        tg = np.linspace(0.0, self.t_max, 40001)
-        self._t_grid = tg
+        self._t_grid = tg = np.linspace(0.0, self.t_max, 40001)
         self._B_t = _Simpson(tg)(gamma1(tg))
 
-        # the moment table: row 0 is C, its only copy; the others integrate
-        # v(l) c(l) for v = a, then z, a z, z^2 for each test's z (the rows
-        # _FIRST_Z_ROW names). The rows free of a are built here, one v at a
-        # time to hold one temporary at a time; load writes rows 1, 3, 6, 9.
-        self.rows = np.empty((11, g.size))
-        self.Ic = ic = self.simpson(self.c, out=self.rows[0])
-        self._put(2, g)
-        self._put(4, g * g)
-        self._put(8, ic)
-        self._put(10, ic * ic)
-        self.F_L = f_entry = np.asarray(model.entry.cdf(g), dtype=float)
-        self._put(5, f_entry)
-        self._put(7, f_entry * f_entry)
+        # the moment table, rows as _ROW_FACTORS names them; row 0 is C, its
+        # only copy. The rows free of a are built here, one v at a time to
+        # hold one temporary at a time; load writes the others.
+        self.rows = np.empty((len(_ROW_FACTORS), g.size))
+        self.Ic = self.rows[0]
+        self.F_L = np.asarray(entry.cdf(g), dtype=float)
         self.a: np.ndarray | None = None  # the loaded covariate on the grid, written by load
+        for k, factors in enumerate(_ROW_FACTORS):
+            if "a" not in factors:
+                self._put(k)
         self.sigma2: dict[EfficacyTest, float] = {}  # sigma2(inf) by test
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _find_l_max(entry: EntryLaw, gamma0, gamma1) -> float:
-        if math.isfinite(entry.upper):
-            return float(entry.upper)
-        bound = 8.0
-        for _ in range(20):
-            g = np.linspace(0.0, bound, 4001)
-            simpson = _Simpson(g)
-            A = simpson(gamma0(g))
-            B = simpson(gamma1(g))
-            c = entry.pdf(g) * np.exp(B - A)
+        for g, integral in _doubling_grids(8.0, 4001, 20):
+            c = entry.pdf(g) * np.exp(integral(gamma1(g)) - integral(gamma0(g)))
             peak = float(c.max())
             if peak > 0 and c[-1] < 1e-14 * peak:
-                tail = np.flatnonzero(c >= 1e-14 * peak)
-                return float(g[tail[-1]]) if tail.size else bound
-            bound *= 2.0
+                return float(g[np.flatnonzero(c >= 1e-14 * peak)[-1]])
         raise IntegrationFailure("entry weight function does not decay; cannot bound the support")
 
     def _find_t_max(self, gamma1) -> float:
         # need exp(-2 (B(t) - B(l_max))) below 1e-10
         target = 0.5 * math.log(1e10)
-        bound = self.l_max + 8.0
-        for _ in range(30):
-            tg = np.linspace(0.0, bound, 8001)
-            B = _Simpson(tg)(gamma1(tg))
-            b_lmax = float(np.interp(self.l_max, tg, B))
-            if float(B[-1]) - b_lmax > target:
-                return bound
-            bound *= 2.0
+        for tg, integral in _doubling_grids(self.l_max + 8.0, 8001, 30):
+            B = integral(gamma1(tg))
+            if float(B[-1]) - float(np.interp(self.l_max, tg, B)) > target:
+                return float(tg[-1])
         raise IntegrationFailure("post-entry hazard does not accumulate; cannot bound the time axis")
 
     # -- the moment table ------------------------------------------------------
 
-    def _put(self, k: int, v: np.ndarray) -> None:
-        """Write the cumulative integral of v(l) c(l) into moment row k."""
-        self.simpson(v * self.c, out=self.rows[k])
+    def _v(self, k: int, j=slice(None)):
+        """v_k of moment row k at the grid nodes j (the int 1 for row 0)."""
+        factor = {"a": self.a, "l": self.grid, "F": self.F_L, "C": self.Ic}
+        return math.prod(factor[name][j] for name in _ROW_FACTORS[k])
+
+    def _put(self, k: int) -> None:
+        """Write moment row k, the cumulative integral of v_k(l) c(l)."""
+        self.simpson(self._v(k) * self.c, out=self.rows[k])
 
     def load(self, a_fun: Callable[[np.ndarray], np.ndarray], regularize: bool) -> None:
         """Write the covariate rows of a = ``a_fun``: those of a, a l, a F_L and a C."""
@@ -334,14 +333,11 @@ class _ModelTables:
             a = np.where(g >= REGULARIZATION_FLOOR * self.l_max, a, 0.0)
             a[~np.isfinite(a)] = 0.0
         self.a = a
-        if np.array_equal(a, g):  # a(l) = l: the a and a l rows are those of l and l^2
-            self.rows[1] = self.rows[2]
-            self.rows[3] = self.rows[4]
-        else:
-            self._put(1, a)
-            self._put(3, a * g)
-        self._put(6, a * self.F_L)
-        self._put(9, a * self.Ic)
+        a_is_l = np.array_equal(a, g)
+        if a_is_l:  # the a and a l rows are those of l and l^2
+            self.rows[[1, 3]] = self.rows[[2, 4]]
+        for k in (6, 9) if a_is_l else (1, 3, 6, 9):
+            self._put(k)
 
     # -- efficacy quantities -----------------------------------------------------
 
@@ -361,8 +357,9 @@ class _ModelTables:
 
     def _efficacy(self, test: EfficacyTest, beta: float) -> EfficacyResult:
         def at_risk(u):
-            """ybar(u) and the at-risk Cov(a, z) and Var(z) at the times u."""
-            return self.ybar(u), *_node_moments(self, test, np.minimum(u, self.l_max))
+            """ybar(u) and the at-risk Cov(a, z) and Var(z) at the times u, from one lookup."""
+            c, cov, var = _node_moments(self, test, np.minimum(u, self.l_max))
+            return np.exp(-self.B(u)) * c, cov, var
 
         def mu_integrand(u):
             yb, cov, _ = at_risk(u)
@@ -381,16 +378,16 @@ class _ModelTables:
             raise IntegrationFailure("efficacy integrals did not produce a finite, positive variance")
         return EfficacyResult(test=test, mu_inf=beta * mu, sigma2_inf=s2)
 
-    def entry_density(self, t: float, l: float) -> float:
-        """Density (in l) of entry times among subjects at risk at time t > 0."""
-        ub = min(t, self.l_max)
-        if l <= 0 or l >= t or l > self.l_max:
-            return 0.0
-        c_l = float(self._weight(l))
-        denom = float(self.C(ub))
-        if denom <= 0:
+    def entry_density(self, t, l) -> np.ndarray:
+        """Density (in l) of entry times among subjects at risk at times t > 0, broadcast against l."""
+        t, l = np.broadcast_arrays(t, l)
+        inside = (l > 0) & (l < t) & (l <= self.l_max)
+        denom = self.rows_at(np.minimum(t[inside], self.l_max), (0,))[0]
+        if np.any(denom <= 0):
             raise DomainError("no entry mass before t; density undefined")
-        return c_l / denom
+        out = np.zeros(t.shape)
+        out[inside] = self._weight(l[inside]) / denom
+        return out
 
     def _weight(self, l) -> np.ndarray:
         """The at-risk entry weight c at the points l: f_L exactly, its log weight interpolated."""
@@ -420,32 +417,15 @@ class _ModelTables:
     def B(self, t) -> np.ndarray:
         return np.interp(t, self._t_grid, self._B_t)
 
-    def C(self, x) -> np.ndarray:
-        """The cumulative entry weight C at the points x: moment row 0, by the lookup of ``rows_at``."""
-        return self._hermite(x, self.Ic, lambda j: self.c[j])
-
-    def rows_at(self, x) -> np.ndarray:
-        """Every moment row at the points x: ``out[k]`` is row k's cubic Hermite interpolant at x.
+    def rows_at(self, x, rows=range(len(_ROW_FACTORS))) -> np.ndarray:
+        """The moment rows ``rows`` at the points x: ``out[i]`` is row ``rows[i]``'s cubic Hermite interpolant.
 
         Row k integrates v_k(l) c(l), so its derivative at a node is v_k c
-        there (``_slopes``) and the interpolant is O(h^4) in the grid
-        spacing h. It reads the covariate ``load`` wrote.
-        """
-        return self._hermite(x, self.rows, self._slopes)
-
-    def _slopes(self, j) -> np.ndarray:
-        """The derivative v_k c of each moment row k at the grid nodes j."""
-        a, l, f, ic = self.a[j], self.grid[j], self.F_L[j], self.Ic[j]
-        return self.c[j] * np.stack([np.ones_like(l), a, l, a * l, l * l, f, a * f, f * f, ic, a * ic, ic * ic])
-
-    def _hermite(self, x, values: np.ndarray, slopes) -> np.ndarray:
-        """Cubic Hermite interpolant at x of ``values``, tabulated along its last axis.
-
-        ``slopes(j)`` gives the exact derivative of ``values`` at the nodes j.
-
-        One index search serves every row. A grid node returns its stored
-        values bit for bit; x below the first node reads the first node,
-        and x at or beyond the last node the last.
+        there and the interpolant is O(h^4) in the grid spacing h. Only the
+        requested rows and slopes are formed, after one index search. A grid
+        node reads its stored values bit for bit, x below the first node the
+        first, x at or beyond the last node the last. It reads the covariate
+        ``load`` wrote.
         """
         g = self.grid
         x = np.clip(np.asarray(x, dtype=float), g[0], g[-1])
@@ -453,11 +433,14 @@ class _ModelTables:
         h = g[j + 1] - g[j]
         t = (x - g[j]) / h  # in [0, 1]: 0 at node j, 1 only at the last node
         s = 1.0 - t
-        return ((1.0 + 2.0 * t) * s * s * values[..., j] + t * t * (3.0 - 2.0 * t) * values[..., j + 1]
+        k = np.reshape(rows, (-1,) + (1,) * j.ndim)
+        slopes = lambda j: np.stack([self.c[j] * self._v(r, j) for r in rows])
+        return ((1.0 + 2.0 * t) * s * s * self.rows[k, j] + t * t * (3.0 - 2.0 * t) * self.rows[k, j + 1]
                 + t * s * h * (s * slopes(j) - t * slopes(j + 1)))
 
     def ybar(self, t) -> np.ndarray:
-        return np.exp(-self.B(t)) * self.C(np.minimum(t, self.l_max))
+        """The at-risk fraction at the times t: exp(-B(t)) times C, row 0, at min(t, l_max)."""
+        return np.exp(-self.B(t)) * self.rows_at(np.minimum(t, self.l_max), (0,))[0]
 
 
 def _decade_divergence(tables: _ModelTables, a_vals: np.ndarray) -> bool:
@@ -475,18 +458,33 @@ def _decade_divergence(tables: _ModelTables, a_vals: np.ndarray) -> bool:
     return lowest > 1e-9 * total and contrib[0] > 0.45 * (contrib[2] + 1e-300)
 
 
-def conditional_entry_density(model: AlternativeModel, t: float, l: float) -> float:
-    """Density (in l) of entry times among subjects at risk at time t."""
-    if t <= 0:
-        raise DomainError("the risk-set time t must be positive")
-    return _ModelTables(model).entry_density(t, l)
+def _check_times(t, l=0.0) -> None:
+    """DomainError unless every risk-set time t is finite and positive and every entry time l finite."""
+    if not (np.all(np.isfinite(t) & (np.asarray(t) > 0)) and np.all(np.isfinite(l))):
+        raise DomainError("risk-set times t must be finite and positive, and entry times l finite")
 
 
-def ybar(model: AlternativeModel, t: float) -> float:
-    """Limiting at-risk fraction at time t (the normalizing integral above)."""
-    if t <= 0:
-        raise DomainError("the risk-set time t must be positive")
-    return float(_ModelTables(model).ybar(t))
+def conditional_entry_density(model: AlternativeModel, t, l) -> "float | np.ndarray":
+    """Density (in l) of entry times among subjects at risk at time t.
+
+    t and l may be arrays, broadcast against each other; one set of tables
+    serves every point, and scalars give a float. The density is 0 for l
+    outside (0, min(t, l_max)].
+    """
+    _check_times(t, l)
+    density = _ModelTables(model).entry_density(t, l)
+    return float(density) if density.ndim == 0 else density
+
+
+def ybar(model: AlternativeModel, t) -> "float | np.ndarray":
+    """Limiting at-risk fraction at time t (the normalizing integral above).
+
+    t may be an array; one set of tables serves every point, and a scalar
+    gives a float.
+    """
+    _check_times(t)
+    fraction = _ModelTables(model).ybar(t)
+    return float(fraction) if fraction.ndim == 0 else fraction
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(48)
@@ -499,13 +497,12 @@ def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y) -> float:
     Evaluated by composite Gauss rules against the at-risk weight, so the
     endpoints are never sampled.
     """
-    if t <= 0:
-        raise DomainError("the risk-set time t must be positive")
+    _check_times(t)
     return _ModelTables(model).sigma_xy(t, proc_x, proc_y)
 
 
-def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray]:
-    """The at-risk Cov(a, z) and Var(z) at the truncation points ub.
+def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The at-risk mass C(ub), Cov(a, z) and Var(z) at the truncation points ub, from one lookup.
 
     A test's z is, up to a constant, s r(l) with r the process of its
     moment rows: r = l or F_L(l) with s = 1, and r = C(l) with
@@ -513,16 +510,15 @@ def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndar
     Var(z) = s^2 Var(r). Both are 0 where C(ub) is not positive (no entry
     mass yet).
     """
-    row = tables.rows_at(ub)
-    mass = row[0] > 0
-    c = np.where(mass, row[0], 1.0)
-    s = -1.0 / c if test is EfficacyTest.SIGN_SIGN else 1.0
-    ea = row[1] / c
     k = _FIRST_Z_ROW[test]
-    z, az, zz = row[k:k + 3]
+    mass_c, a, z, az, zz = tables.rows_at(ub, (0, 1, k, k + 1, k + 2))
+    mass = mass_c > 0
+    c = np.where(mass, mass_c, 1.0)
+    s = -1.0 / c if test is EfficacyTest.SIGN_SIGN else 1.0
+    ea = a / c
     ez = z / c
     cov, var = s * (az / c - ea * ez), s * s * (zz / c - ez * ez)
-    return np.where(mass, cov, 0.0), np.where(mass, var, 0.0)
+    return mass_c, np.where(mass, cov, 0.0), np.where(mass, var, 0.0)
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the Kronrod abscissae on

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,6 +336,7 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
         chunks = [(scenario, censoring_rate, pairs, level, 0, replicates)]
         outputs = [_replicate_batch(chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: import it only here
         bounds = np.linspace(0, replicates, n_jobs * 4 + 1).astype(int)
         chunks = [(scenario, censoring_rate, pairs, level, int(a), int(b))
                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]

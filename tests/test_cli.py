@@ -244,6 +244,17 @@ def test_import_and_test_command_leave_scipy_stats_unloaded(sample_csv):
     assert "chi-square" in done.stdout
 
 
+def test_import_leaves_multiprocessing_unloaded():
+    """``import qitest`` and its CLI load no process pool: only ``run_experiment(n_jobs > 1)`` needs one."""
+    script = ("import sys; import qitest, qitest.cli; "
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'); "
+              "assert not loaded, loaded")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_are_command_needs_no_scipy():
     """``qitest are`` integrates with numpy alone: no scipy module is imported."""
     script = ("import sys; from qitest.cli import main; "

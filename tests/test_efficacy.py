@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_simpson, quad
+from scipy.integrate import cumulative_simpson, fixed_quad, quad
 
 from qitest.efficacy import (
     STUDY_COLUMNS,
     AlternativeModel,
     EfficacyTest,
+    _FIRST_Z_ROW,
+    _doubling_grids,
     _gauss_kronrod,
     _ModelTables,
     _node_moments,
@@ -92,6 +94,16 @@ class TestSimpson:
                   exp_tables.Ic * exp_tables.c, np.full(g.size, 0.3)):
             assert bits(exp_tables.simpson(y)) == bits(cumulative_simpson(y, x=g, initial=0.0))
 
+    @pytest.mark.parametrize("start,points", [(8.0, 4001), (40.224000000000004, 8001), (9.0, 8001), (0.3, 7)])
+    def test_doubled_grids_share_one_coefficient_set(self, start, points):
+        # grid k and its integrals equal a fresh linspace and a fresh rule on it, bit for bit
+        rng = np.random.default_rng(5)
+        for k, (grid, integral) in enumerate(_doubling_grids(start, points, 12)):
+            want = np.linspace(0.0, start * 2.0**k, points)
+            assert bits(grid) == bits(want), k
+            for y in (np.full(points, 1.3), np.exp(-0.7 * grid), rng.uniform(0.0, 2.0, points)):
+                assert bits(integral(y)) == bits(_Simpson(want)(y)), k
+
 
 class TestRowLookup:
     """The cubic Hermite lookup: stored rows at the nodes, the end columns outside the grid, exact on cubics."""
@@ -100,9 +112,14 @@ class TestRowLookup:
         xs = np.asarray(xs, dtype=float)
         got = tables.rows_at(xs)
         assert bits(got) == bits(want)
-        assert bits(tables.C(xs)) == bits(got[0])  # C is row 0 by the same lookup
+        for rows in self.SUBSETS:  # a subset of the rows reads them as the full lookup does
+            assert bits(tables.rows_at(xs, rows)) == bits(got[list(rows)]), rows
         for x, column in zip(xs, want.T):  # a scalar x reads one column
             assert bits(tables.rows_at(x)) == bits(column), x
+            assert bits(tables.rows_at(x, (0,))) == bits(column[:1]), x
+
+    #: row 0 alone (C, read by ybar and the entry density), each test's rows, and an arbitrary order
+    SUBSETS = [(0,)] + [(0, 1, k, k + 1, k + 2) for k in _FIRST_Z_ROW.values()] + [(10, 3, 3)]
 
     def test_grid_points(self, exp_moment_tables):
         g = exp_moment_tables.grid
@@ -153,6 +170,8 @@ class TestRowLookup:
             warnings.simplefilter("error", RuntimeWarning)
             got = exp_moment_tables.rows_at(xs)
         assert np.all(np.isfinite(got))
+        for rows in self.SUBSETS:
+            assert bits(exp_moment_tables.rows_at(xs, rows)) == bits(got[list(rows)]), rows
         for x, column in zip(xs, got.T):
             assert bits(exp_moment_tables.rows_at(x)) == bits(column), x
             # nodes, and points outside the grid, read a stored column
@@ -201,22 +220,41 @@ class TestEntryDensity:
         assert got == pytest.approx(want, rel=1e-6)
         assert conditional_entry_density(exp_model, t=1.0, l=0.5) == got
 
-    def test_outside_support_is_zero(self, exp_tables):
-        assert exp_tables.entry_density(1.0, 1.0) == 0.0
-        assert exp_tables.entry_density(1.0, 1.7) == 0.0
-        assert exp_tables.entry_density(1.0, -0.1) == 0.0
+    def test_outside_support_is_zero(self, exp_model):
+        got = conditional_entry_density(exp_model, 1.0, [1.0, 1.7, -0.1])
+        assert got.tolist() == [0.0, 0.0, 0.0]
 
     def test_rejects_nonpositive_time(self, exp_model):
         with pytest.raises(DomainError):
             conditional_entry_density(exp_model, 0.0, 0.5)
 
+    @pytest.mark.parametrize("t,l", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, -math.inf),
+                                     ([1.0, math.nan], 0.5), (1.0, [0.5, math.nan]), ([1.0, -1.0], 0.5)])
+    def test_rejects_nan_and_infinite_times(self, exp_model, t, l):
+        with pytest.raises(DomainError):
+            conditional_entry_density(exp_model, t, l)
+
     @pytest.mark.parametrize("psi0,psi1,t", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.7), (1.0, 1.0, 2.5)])
     def test_normalization(self, psi0, psi1, t):
+        # constant hazards make the density smooth in l over (0, t), so a
+        # 200-point Gauss-Legendre rule, evaluated in one array call, is exact
         model = model_linear_risk(exponential_entry(2.0), psi0, psi1)
-        tables = _ModelTables(model)
-        val = quad(lambda l: tables.entry_density(t, l),
-                   0.0, t, limit=300, epsabs=1e-11, epsrel=1e-10)[0]
+        val = fixed_quad(lambda l: conditional_entry_density(model, t, l), 0.0, t, n=200)[0]
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_array_matches_scalar_calls(self, exp_model, exp_tables, built_tables):
+        l_max, t_max = exp_tables.l_max, exp_tables.t_max
+        t = np.array([0.5, 1.0, l_max, t_max, 2 * t_max])[:, None]
+        # outside the support (<= 0, >= t, beyond l_max), below the first grid node, inside
+        l = np.array([-0.1, 0.0, 1e-13, 0.3, 1.0, 3.0, l_max, l_max + 1.0])
+        got = conditional_entry_density(exp_model, t, l)
+        assert len(built_tables) == 1
+        assert got.shape == (t.size, l.size)
+        want = [[conditional_entry_density(exp_model, ti, li) for li in l] for ti in t[:, 0]]
+        assert all(isinstance(w, float) for row in want for w in row)
+        assert bits(got) == bits(want)
+        outside = (l <= 0) | (l >= t) | (l > l_max)
+        assert np.all(got[outside] == 0.0) and np.all(got[~outside] > 0.0)
 
 
 class TestYbar:
@@ -224,8 +262,24 @@ class TestYbar:
         want = math.exp(-0.3) * (1 - math.exp(-2.0))
         assert ybar(exp_model, 1.0) == pytest.approx(want, rel=1e-6)
 
-    def test_vanishes_at_zero(self, exp_model, exp_tables):
-        assert float(exp_tables.ybar(1e-9)) == pytest.approx(0.0, abs=1e-8)
+    def test_vanishes_at_zero(self, exp_model):
+        assert ybar(exp_model, 1e-9) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, [1.0, math.nan], [[1.0], [0.0]]])
+    def test_rejects_nonpositive_nan_and_infinite_times(self, exp_model, t):
+        with pytest.raises(DomainError):
+            ybar(exp_model, t)
+
+    def test_array_matches_scalar_calls(self, exp_model, exp_tables, built_tables):
+        l_max, t_max = exp_tables.l_max, exp_tables.t_max
+        ts = np.array([1e-13, 1e-9, 0.3, 1.0, l_max, 0.5 * (l_max + t_max), t_max, 2 * t_max])
+        got = ybar(exp_model, ts)
+        assert len(built_tables) == 1
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        want = [ybar(exp_model, t) for t in ts]
+        assert all(isinstance(w, float) for w in want)
+        assert bits(got) == bits(want)
+        assert bits(ybar(exp_model, ts.reshape(2, -1))) == bits(got)
 
     def test_matches_independent_quadrature(self):
         # nested-quadrature oracle straight from the defining double integral
@@ -242,9 +296,9 @@ class TestYbar:
         for t in (0.4, 1.3, 3.7):
             assert ybar(model, t) == pytest.approx(oracle(t), rel=1e-6)
 
-    def test_nonincreasing_factor(self, exp_model, exp_tables):
+    def test_nonincreasing_factor(self, exp_model):
         ts = np.linspace(1.0, 20.0, 30)
-        vals = [float(exp_tables.ybar(t)) for t in ts]
+        vals = ybar(exp_model, ts)
         # beyond the entry bulk the at-risk fraction decays
         assert all(a >= b for a, b in zip(vals[10:], vals[11:]))
 
@@ -260,6 +314,11 @@ class TestSigmaXY:
         m1 = (1 - (1 + lam * t) * math.exp(-lam * t)) / (lam * z)
         m2 = (2 - (2 + 2 * lam * t + (lam * t) ** 2) * math.exp(-lam * t)) / (lam**2 * z)
         assert got == pytest.approx(m2 - m1 * m1, rel=1e-7)
+
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_nan_and_infinite_times(self, exp_model, t):
+        with pytest.raises(DomainError):
+            sigma_xy(exp_model, t, lambda l: l, lambda l: l)
 
     def test_reflection_antisymmetry(self, exp_model, exp_tables):
         f = exp_model.entry.cdf
@@ -298,7 +357,7 @@ class TestEfficacy:
         # the within-risk-set scaled rank has limiting variance 1/12
         res = efficacy(AlternativeModel(entry=exp_model.entry), "sign")
         for ub in (0.5, 2.0, 8.0):
-            _, var = _node_moments(exp_moment_tables, EfficacyTest.SIGN_SIGN, ub)
+            _, _, var = _node_moments(exp_moment_tables, EfficacyTest.SIGN_SIGN, ub)
             assert var == pytest.approx(1 / 12, rel=1e-5)
         assert res.sigma2_inf > 0
 
@@ -311,12 +370,14 @@ class TestEfficacy:
         model = model_linear_risk(entry, psi0, psi1)
         tables = _ModelTables(model)
         tables.load(model.a_fun, regularize=False)
+        C = lambda x: tables.rows_at(x, (0,))[0]
         for ub in (0.1, 0.3, 0.7, 1.0):
-            processes = {EfficacyTest.SIGN_SIGN: lambda l: 1.0 - tables.C(l) / tables.C(ub),
+            processes = {EfficacyTest.SIGN_SIGN: lambda l: 1.0 - C(l) / C(ub),
                          EfficacyTest.RANK_SIGN: entry.cdf,
                          EfficacyTest.LINEAR_SIGN: lambda l: np.asarray(l, dtype=float)}
             for test, z in processes.items():
-                cov, var = _node_moments(tables, test, ub)
+                mass, cov, var = _node_moments(tables, test, ub)
+                assert bits(mass) == bits(C(ub))
                 assert cov == pytest.approx(tables.sigma_xy(ub, model.a_fun, z), rel=1e-5), (test, ub)
                 assert var == pytest.approx(tables.sigma_xy(ub, z, z), rel=1e-5), (test, ub)
 
@@ -358,6 +419,24 @@ def fresh_cells():
                 cells[model_name, entry_name, psi0, psi1] = _ModelTables(model).efficacies(
                     model, EfficacyTest, regularize=True)
     return cells
+
+
+class TestBoundSearch:
+    """l_max and t_max of every distinct study cell, as found with a fresh Simpson rule per doubled grid."""
+
+    RECORDED = {
+        ("exponential", 0.0, 1.0): (32.224000000000004, 80.44800000000001),
+        ("exponential", 1.0, 1.0): (16.112000000000002, 48.224000000000004),
+        ("uniform", 0.0, 0.0): (1.0, 72.0),
+        ("uniform", 0.0, 1.0): (1.0, 18.0),
+        ("uniform", 1.0, 1.0): (1.0, 18.0),
+    }
+
+    @pytest.mark.parametrize("entry_name, psi0, psi1", list(RECORDED))
+    def test_study_cell_bounds(self, entry_name, psi0, psi1):
+        entry = exponential_entry(2.0) if entry_name == "exponential" else uniform_entry()
+        tables = _ModelTables(model_linear_risk(entry, psi0, psi1))
+        assert (tables.l_max, tables.t_max) == self.RECORDED[entry_name, psi0, psi1]
 
 
 class TestSharedTables:
