@@ -24,7 +24,6 @@ from .efficacy import (
     model_linear_risk,
     model_reciprocal_risk,
     pitman_are,
-    sigma_xy,
     uniform_entry,
     ybar,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "rank_transform",
     "reverse_roles",
     "run_experiment",
-    "sigma_xy",
     "run_test_grid",
     "u_numerator",
     "uniform_entry",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +54,6 @@ class Dataset:
         self.entry = entry
         self.exit = exit
         self.event = event
-
-    @classmethod
-    def from_observations(cls, observations: Iterable[Observation]) -> "Dataset":
-        rows = [Observation(*o) for o in observations]
-        if not rows:
-            raise ValidationError("dataset must contain at least one observation")
-        return cls([o.entry for o in rows], [o.exit for o in rows], [o.event for o in rows])
 
     @property
     def n(self) -> int:

@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, IntegrationFailure, IntegrationWarning
 from .kernels import parse_member
@@ -272,9 +271,8 @@ class _ModelTables:
         self.c = entry.pdf(g) * np.exp(self._log_w)
 
         # time grid for the post-entry cumulative hazard beyond l_max
-        self.t_max = self._find_t_max(gamma1)
-        self._t_grid = tg = np.linspace(0.0, self.t_max, 40001)
-        self._B_t = _Simpson(tg)(gamma1(tg))
+        self._t_grid, self._B_t = self._time_table(gamma1)
+        self.t_max = float(self._t_grid[-1])
 
         # the moment table, rows as _ROW_FACTORS names them; row 0 is C, its
         # only copy. The rows free of a are built here, one v at a time to
@@ -299,13 +297,14 @@ class _ModelTables:
                 return float(g[np.flatnonzero(c >= 1e-14 * peak)[-1]])
         raise IntegrationFailure("entry weight function does not decay; cannot bound the support")
 
-    def _find_t_max(self, gamma1) -> float:
+    def _time_table(self, gamma1) -> tuple[np.ndarray, np.ndarray]:
+        """The first doubled time grid over which B grows enough past l_max, and B on it."""
         # need exp(-2 (B(t) - B(l_max))) below 1e-10
         target = 0.5 * math.log(1e10)
-        for tg, integral in _doubling_grids(self.l_max + 8.0, 8001, 30):
+        for tg, integral in _doubling_grids(self.l_max + 8.0, 40001, 30):
             B = integral(gamma1(tg))
             if float(B[-1]) - float(np.interp(self.l_max, tg, B)) > target:
-                return float(tg[-1])
+                return tg, B
         raise IntegrationFailure("post-entry hazard does not accumulate; cannot bound the time axis")
 
     # -- the moment table ------------------------------------------------------
@@ -386,31 +385,10 @@ class _ModelTables:
         if np.any(denom <= 0):
             raise DomainError("no entry mass before t; density undefined")
         out = np.zeros(t.shape)
-        out[inside] = self._weight(l[inside]) / denom
+        # the at-risk entry weight c: f_L exactly, its log weight interpolated
+        l = np.asarray(l[inside], dtype=float)
+        out[inside] = self.entry.pdf(l) * np.exp(np.interp(l, self.grid, self._log_w)) / denom
         return out
-
-    def _weight(self, l) -> np.ndarray:
-        """The at-risk entry weight c at the points l: f_L exactly, its log weight interpolated."""
-        return self.entry.pdf(np.asarray(l, dtype=float)) * np.exp(np.interp(l, self.grid, self._log_w))
-
-    def sigma_xy(self, t: float, proc_x, proc_y) -> float:
-        """Covariance of two entry-time processes under the at-risk density at time t > 0."""
-        ub = min(t, self.l_max)
-        edges = np.linspace(0.0, ub, 257)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        c = self._weight(nodes)
-        z = float(np.sum(wts * c))
-        if z <= 0:
-            raise DomainError("no at-risk mass before t")
-        x = np.asarray(proc_x(nodes), dtype=float)
-        y = np.asarray(proc_y(nodes), dtype=float)
-        exy = float(np.sum(wts * c * x * y)) / z
-        ex = float(np.sum(wts * c * x)) / z
-        ey = float(np.sum(wts * c * y)) / z
-        return exy - ex * ey
 
     # -- lookups ---------------------------------------------------------------
 
@@ -485,20 +463,6 @@ def ybar(model: AlternativeModel, t) -> "float | np.ndarray":
     _check_times(t)
     fraction = _ModelTables(model).ybar(t)
     return float(fraction) if fraction.ndim == 0 else fraction
-
-
-_GL_NODES, _GL_WEIGHTS = leggauss(48)
-
-
-def sigma_xy(model: AlternativeModel, t: float, proc_x, proc_y) -> float:
-    """Covariance of two entry-time processes under the at-risk density at t.
-
-    ``proc_x``/``proc_y`` map arrays of entry times to process values.
-    Evaluated by composite Gauss rules against the at-risk weight, so the
-    endpoints are never sampled.
-    """
-    _check_times(t)
-    return _ModelTables(model).sigma_xy(t, proc_x, proc_y)
 
 
 def _node_moments(tables: _ModelTables, test: EfficacyTest, ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import CalibrationFailure, DegenerateDataset, DegenerateVariance, GenerationStall
+from .errors import CalibrationFailure, DegenerateDataset, DegenerateVariance, DomainError, GenerationStall
 from .kernels import Kernel, parse_member
 from .teststat import STANDARD_PAIRS, _grid_block
 
@@ -32,6 +33,10 @@ _BATCH_CAP = 4_000_000
 #: relative distance from a probe rate within which a draw's censoring
 #: threshold is re-evaluated by the probe's own comparison
 _NEAR = 1e-12
+#: latent draws in calibration's common-random-number batch
+_PROBE_DRAWS = 100_000
+#: largest distance of the calibrated censored fraction from its target
+_CALIBRATION_TOL = 0.005
 #: subjects per block of replicates tested by one engine call
 _BLOCK_SUBJECTS = 8192
 
@@ -65,6 +70,13 @@ class SimScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "family", ScenarioFamily.parse(self.family))
+        try:
+            target_n = operator.index(self.target_n)
+        except TypeError:
+            raise ValueError("target_n must be an integer") from None
+        if target_n < 1:
+            raise ValueError("target_n must be at least 1")
+        object.__setattr__(self, "target_n", target_n)
         if self.censoring_target is not None and not (0.0 < self.censoring_target < 1.0):
             raise ValueError("censoring_target must lie in (0, 1) or be None")
 
@@ -95,11 +107,13 @@ def generate_dataset(scenario: SimScenario, rng: np.random.Generator,
     ``censoring_rate`` is the exponential rate of the censoring time; it must
     be supplied when the scenario requests censoring (use
     :func:`calibrate_censoring`), because calibration is a separate,
-    deterministic step.
+    deterministic step. It must then be finite and positive.
     """
     want_censoring = scenario.censoring_target is not None
     if want_censoring and censoring_rate is None:
         censoring_rate = calibrate_censoring(scenario)
+    if want_censoring and not (math.isfinite(censoring_rate) and censoring_rate > 0):
+        raise DomainError(f"censoring rate must be finite and positive, got {censoring_rate!r}")
     n = scenario.target_n
     entry = np.empty(0)
     exit_ = np.empty(0)
@@ -175,8 +189,7 @@ def _censored_fraction(entry: np.ndarray, failure: np.ndarray, log_u: np.ndarray
     return censored_fraction
 
 
-def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None,
-                        probe_draws: int = 100_000, tol: float = 0.005) -> float:
+def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None) -> float:
     """Exponential censoring rate hitting the post-truncation censored target.
 
     Uses one fixed batch of latent draws with common random numbers across
@@ -192,8 +205,8 @@ def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None,
         raise CalibrationFailure("target censored fraction must lie in (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed,
                                                        spawn_key=(0xCA11B,)))
-    entry, failure = _draw_latent(scenario.family, rng, probe_draws)
-    u = rng.uniform(size=probe_draws)
+    entry, failure = _draw_latent(scenario.family, rng, _PROBE_DRAWS)
+    u = rng.uniform(size=_PROBE_DRAWS)
     censored_fraction = _censored_fraction(entry, failure, -np.log(u))
 
     lo, hi = 1e-9, 1.0
@@ -215,7 +228,7 @@ def calibrate_censoring(scenario: SimScenario, target_rate: float | None = None,
             break
     rate = 0.5 * (lo + hi)
     achieved = censored_fraction(rate)
-    if abs(achieved - target) > tol:
+    if abs(achieved - target) > _CALIBRATION_TOL:
         raise CalibrationFailure(
             f"bisection stalled at censored fraction {achieved:.4f} for target {target:.4f}"
         )
@@ -321,17 +334,19 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
     """Replicated rejection-rate experiment under one scenario.
 
     Each replicate generates a fresh dataset from its own derived stream and
-    runs every kernel pair on it at the given significance level. Replicates
-    whose statistic is undefined reject nothing and are counted. The report
-    is bit-identical for fixed (scenario, replicates); ``n_jobs`` only
-    changes wall-clock time.
+    runs every kernel pair on it at the given significance level, in (0, 1].
+    Replicates whose statistic is undefined reject nothing and are counted.
+    The report is bit-identical for fixed (scenario, replicates); ``n_jobs``
+    only changes wall-clock time, and no more workers than replicates start.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    if not 0.0 < level <= 1.0:
+        raise DomainError(f"level must lie in (0, 1], got {level!r}")
     pairs = tuple((Kernel.parse(g), Kernel.parse(h)) for g, h in kernel_pairs)
     censoring_rate = calibrate_censoring(scenario) if scenario.censoring_target else 0.0
 
-    n_jobs = max(1, int(n_jobs))
+    n_jobs = min(max(1, int(n_jobs)), replicates)
     if n_jobs == 1:
         chunks = [(scenario, censoring_rate, pairs, level, 0, replicates)]
         outputs = [_replicate_batch(chunks[0])]
@@ -340,6 +355,7 @@ def run_experiment(scenario: SimScenario, kernel_pairs=STANDARD_PAIRS,
         bounds = np.linspace(0, replicates, n_jobs * 4 + 1).astype(int)
         chunks = [(scenario, censoring_rate, pairs, level, int(a), int(b))
                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        # n_jobs <= replicates, so there are at least n_jobs chunks: no worker idles
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             outputs = list(pool.map(_replicate_batch, chunks))
 

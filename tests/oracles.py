@@ -8,6 +8,7 @@ obviously right, and the fast paths in ``qitest`` are checked against it.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from qitest.comparability import lambda_matrix
 from qitest.data import Dataset, Observation
@@ -120,3 +121,28 @@ def phi_hat_bruteforce(data: Dataset, g, h, censored_mode: bool = False) -> floa
     t[idx, :, idx] = 0.0  # k == i
     t[:, idx, idx] = 0.0  # j == k
     return float(t.sum()) / (n * (n - 1) * (n - 2))
+
+
+_GL_NODES, _GL_WEIGHTS = leggauss(48)
+
+
+def sigma_xy(tables, t: float, proc_x, proc_y) -> float:
+    """Covariance of two entry-time processes under the at-risk entry density at time t > 0.
+
+    ``tables`` is a ``qitest.efficacy._ModelTables``; ``proc_x``/``proc_y``
+    map arrays of entry times to process values. The moments are composite
+    48-point Gauss-Legendre sums of ``tables.entry_density`` over 256 equal
+    panels of (0, min(t, l_max)), so the endpoints are never sampled, each
+    divided by the same rule's integral of the density. This is a second
+    quadrature of what the moment rows give by lookup.
+    """
+    edges = np.linspace(0.0, min(t, tables.l_max), 257)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel() * tables.entry_density(t, nodes)
+    x = np.asarray(proc_x(nodes), dtype=float)
+    y = np.asarray(proc_y(nodes), dtype=float)
+    z = float(np.sum(wts))
+    ex, ey, exy = (float(np.sum(wts * v)) / z for v in (x, y, x * y))
+    return exy - ex * ey

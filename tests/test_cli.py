@@ -245,9 +245,13 @@ def test_import_and_test_command_leave_scipy_stats_unloaded(sample_csv):
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    """``import qitest`` and its CLI load no process pool: only ``run_experiment(n_jobs > 1)`` needs one."""
+    """``import qitest`` and its CLI load no process pool and no ``numpy.polynomial``.
+
+    Only ``run_experiment(n_jobs > 1)`` needs a process pool, and only the tests' oracles need Gauss-Legendre nodes.
+    """
     script = ("import sys; import qitest, qitest.cli; "
-              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'); "
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+              "or m.startswith('numpy.polynomial')); "
               "assert not loaded, loaded")
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

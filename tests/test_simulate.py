@@ -1,11 +1,13 @@
+import concurrent.futures
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from qitest import simulate
 from qitest.errors import (CalibrationFailure, DegenerateDataset, DegenerateVariance,
-                           GenerationStall)
+                           DomainError, GenerationStall)
 from qitest.simulate import (
     ScenarioFamily,
     SimScenario,
@@ -89,6 +91,22 @@ class TestGeneration:
         sc = SimScenario(family="exp-null", target_n=10, censoring_target=0.4, seed=5)
         with pytest.raises(GenerationStall):
             generate_dataset(sc, fresh_rng(5), censoring_rate=1e9)
+
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_censoring_rate_must_be_finite_and_positive(self, rate):
+        sc = SimScenario(family="exp-null", target_n=10, censoring_target=0.4, seed=5)
+        with pytest.raises(DomainError, match="censoring rate"):
+            generate_dataset(sc, fresh_rng(5), censoring_rate=rate)
+
+    @pytest.mark.parametrize("target_n", [0, -3, 2.5, "400", None])
+    def test_target_n_must_be_a_positive_integer(self, target_n):
+        with pytest.raises(ValueError, match="target_n"):
+            SimScenario(family="exp-null", target_n=target_n)
+
+    def test_integer_target_n_is_kept_as_an_int(self):
+        sc = SimScenario(family="exp-null", target_n=np.int64(50))
+        assert type(sc.target_n) is int and sc.target_n == 50
 
 
 class TestCalibration:
@@ -186,6 +204,36 @@ class TestExperiments:
         sc = SimScenario(family="exp-null", target_n=50, seed=4)
         with pytest.raises(ValueError):
             run_experiment(sc, replicates=0)
+
+    @pytest.mark.parametrize("level", [1.5, math.nan, 0.0, -0.05])
+    def test_level_outside_the_unit_interval_raises(self, level):
+        sc = SimScenario(family="exp-null", target_n=30, seed=4)
+        with pytest.raises(DomainError, match="level"):
+            run_experiment(sc, replicates=2, level=level)
+
+    def test_no_more_workers_than_replicates(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            """Records the workers asked for and maps in this process, so no process starts."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        sc = SimScenario(family="exp-null", target_n=40, seed=13)
+        many = run_experiment(sc, replicates=3, n_jobs=64)
+        assert requested and max(requested) <= 3
+        assert many == run_experiment(sc, replicates=3, n_jobs=1)
 
     def test_blocks_and_workers_leave_every_field_unchanged(self):
         """Replicate counts around the block size, one and two workers."""
